@@ -17,9 +17,8 @@
 //!   expect the rate of probing to decrease over time", Section 7.1).
 
 use qsys_source::Sources;
-use qsys_types::{Epoch, RelId, SimClock, TimeCategory, Tuple, Value};
+use qsys_types::{Epoch, FxHashMap, RelId, SimClock, TimeCategory, Tuple, Value};
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -184,7 +183,7 @@ pub struct StoredModule {
     /// Tuples in arrival order (the paper's embedded linked list).
     entries: Vec<(Tuple, Epoch)>,
     /// Hash indexes: probe key → value → positions into `entries`.
-    indexes: HashMap<ProbeKey, HashMap<Value, Vec<u32>>>,
+    indexes: FxHashMap<ProbeKey, FxHashMap<Value, Vec<u32>>>,
 }
 
 impl StoredModule {
@@ -203,7 +202,7 @@ impl StoredModule {
         if self.indexes.contains_key(&key) {
             return;
         }
-        let mut index: HashMap<Value, Vec<u32>> = HashMap::new();
+        let mut index: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
         for (pos, (tuple, _)) in self.entries.iter().enumerate() {
             if let Some(v) = key_value(tuple, key) {
                 index.entry(v.clone()).or_default().push(pos as u32);
@@ -226,29 +225,28 @@ impl StoredModule {
         self.entries.push((tuple, epoch));
     }
 
-    /// Probe for matches of `value` under `key`. When `before` is set, only
-    /// tuples inserted in an earlier epoch are returned (RecoverState's
-    /// pre-epoch view). Results come back in arrival order.
-    pub fn probe(
-        &self,
+    /// Probe for matches of `value` under `key`, by borrow. When `before`
+    /// is set, only tuples inserted in an earlier epoch are returned
+    /// (RecoverState's pre-epoch view). Results come back in arrival
+    /// order; the probe is charged when called, not when iterated.
+    pub fn probe<'a>(
+        &'a self,
         key: ProbeKey,
         value: &Value,
         before: Option<Epoch>,
         clock: &SimClock,
-    ) -> Vec<Tuple> {
+    ) -> impl Iterator<Item = &'a Tuple> + 'a {
         clock.charge(TimeCategory::Join, 2);
-        let Some(index) = self.indexes.get(&key) else {
-            return Vec::new();
-        };
-        let Some(positions) = index.get(value) else {
-            return Vec::new();
-        };
+        let positions: &[u32] = self
+            .indexes
+            .get(&key)
+            .and_then(|index| index.get(value))
+            .map_or(&[], Vec::as_slice);
         positions
             .iter()
             .map(|&p| &self.entries[p as usize])
-            .filter(|(_, e)| before.is_none_or(|b| *e < b))
-            .map(|(t, _)| t.clone())
-            .collect()
+            .filter(move |(_, e)| before.is_none_or(|b| *e < b))
+            .map(|(t, _)| t)
     }
 
     /// All tuples inserted before `epoch`, in arrival order — the
@@ -283,8 +281,9 @@ impl StoredModule {
 pub struct RemoteModule {
     /// The remote relation.
     rel: RelId,
-    /// Cache: (column, key value) → base rows, wrapped as tuples.
-    cache: HashMap<(usize, Value), Arc<[Tuple]>>,
+    /// Cache: column → key value → base rows, wrapped as tuples. Nested
+    /// so a hit is looked up by `&Value`, without cloning the key.
+    cache: FxHashMap<usize, FxHashMap<Value, Arc<[Tuple]>>>,
     /// Probes answered from cache (Figure 8 commentary: probe rate decays).
     cache_hits: u64,
     /// Probes that went to the network.
@@ -296,7 +295,7 @@ impl RemoteModule {
     pub fn new(rel: RelId) -> RemoteModule {
         RemoteModule {
             rel,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             cache_hits: 0,
             remote_probes: 0,
         }
@@ -311,17 +310,7 @@ impl RemoteModule {
     /// First hit goes over the (simulated) network via `sources`; repeats
     /// are served from the cache for the cost of a hash lookup.
     pub fn probe(&mut self, column: usize, value: &Value, sources: &Sources) -> Arc<[Tuple]> {
-        let key = (column, value.clone());
-        if let Some(hit) = self.cache.get(&key) {
-            self.cache_hits += 1;
-            sources.clock().charge(TimeCategory::Join, 2);
-            return Arc::clone(hit);
-        }
-        self.remote_probes += 1;
-        let rows = sources.probe(self.rel, column, value);
-        let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
-        self.cache.insert(key, Arc::clone(&tuples));
-        tuples
+        self.probe_governed(column, value, sources, None)
     }
 
     /// Like [`RemoteModule::probe`], but the network hop goes through the
@@ -337,27 +326,29 @@ impl RemoteModule {
         sources: &Sources,
         governor: Option<&crate::govern::SourceGovernor>,
     ) -> Arc<[Tuple]> {
-        let Some(governor) = governor.filter(|_| sources.faults_enabled()) else {
-            return self.probe(column, value, sources);
-        };
-        let key = (column, value.clone());
-        if let Some(hit) = self.cache.get(&key) {
+        if let Some(hit) = self.cache.get(&column).and_then(|c| c.get(value)) {
             self.cache_hits += 1;
             sources.clock().charge(TimeCategory::Join, 2);
             return Arc::clone(hit);
         }
-        match governor.probe(sources, self.rel, column, value) {
-            Ok(rows) => {
-                self.remote_probes += 1;
-                let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
-                self.cache.insert(key, Arc::clone(&tuples));
-                tuples
-            }
-            Err(_) => {
-                governor.note_failed_probe(self.rel);
-                Vec::new().into()
-            }
-        }
+        // Without faults the governor is a pass-through to `sources`.
+        let rows = match governor {
+            None => sources.probe(self.rel, column, value),
+            Some(governor) => match governor.probe(sources, self.rel, column, value) {
+                Ok(rows) => rows,
+                Err(_) => {
+                    governor.note_failed_probe(self.rel);
+                    return Vec::new().into();
+                }
+            },
+        };
+        self.remote_probes += 1;
+        let tuples: Arc<[Tuple]> = rows.into_iter().map(Tuple::single).collect();
+        self.cache
+            .entry(column)
+            .or_default()
+            .insert(value.clone(), Arc::clone(&tuples));
+        tuples
     }
 
     /// Probes served from cache so far.
@@ -374,6 +365,7 @@ impl RemoteModule {
     pub fn approx_bytes(&self) -> usize {
         self.cache
             .values()
+            .flat_map(|by_value| by_value.values())
             .map(|v| 48 + v.len() * 32)
             .sum::<usize>()
     }
@@ -433,12 +425,12 @@ mod tests {
         m.insert(tup(0, 1, 5, 0.9), Epoch(0), &clock);
         m.insert(tup(0, 2, 7, 0.8), Epoch(0), &clock);
         m.insert(tup(0, 3, 5, 0.7), Epoch(0), &clock);
-        let hits = m.probe(key, &Value::Int(5), None, &clock);
+        let hits: Vec<&Tuple> = m.probe(key, &Value::Int(5), None, &clock).collect();
         assert_eq!(hits.len(), 2);
         // Arrival order preserved.
         assert_eq!(hits[0].parts()[0].row_id, 1);
         assert_eq!(hits[1].parts()[0].row_id, 3);
-        assert!(m.probe(key, &Value::Int(9), None, &clock).is_empty());
+        assert_eq!(m.probe(key, &Value::Int(9), None, &clock).count(), 0);
         assert!(clock.breakdown().join_us > 0);
     }
 
@@ -451,9 +443,9 @@ mod tests {
         m.insert(tup(0, 2, 5, 0.8), Epoch(1), &clock);
         m.insert(tup(0, 3, 5, 0.7), Epoch(2), &clock);
         let before_e2 = m.probe(key, &Value::Int(5), Some(Epoch(2)), &clock);
-        assert_eq!(before_e2.len(), 2);
+        assert_eq!(before_e2.count(), 2);
         let all = m.probe(key, &Value::Int(5), None, &clock);
-        assert_eq!(all.len(), 3);
+        assert_eq!(all.count(), 3);
         let replay = m.entries_before(Epoch(1));
         assert_eq!(replay.len(), 1);
         assert_eq!(replay[0].parts()[0].row_id, 1);
@@ -470,8 +462,8 @@ mod tests {
         m.add_probe_key(k0); // idempotent
         let k1 = (RelId::new(0), 3);
         m.add_probe_key(k1);
-        assert_eq!(m.probe(k0, &Value::Int(5), None, &clock).len(), 1);
-        assert!(m.probe(k1, &Value::Int(5), None, &clock).is_empty());
+        assert_eq!(m.probe(k0, &Value::Int(5), None, &clock).count(), 1);
+        assert_eq!(m.probe(k1, &Value::Int(5), None, &clock).count(), 0);
     }
 
     #[test]

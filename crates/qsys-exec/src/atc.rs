@@ -88,13 +88,13 @@ impl Atc {
                 self.rr_offset = (self.rr_offset + 1) % n.max(1);
             }
             SchedulingPolicy::GreedyThreshold => {
-                let bounds = graph.stream_bounds();
+                let bounds = graph.bound_table();
                 // Completed operators keep a residual threshold; serving
                 // them forever would starve the rest.
                 rms.retain(|id| !graph.rank_merge(*id).is_done());
                 rms.sort_by(|a, b| {
-                    let ta = graph.rank_merge(*a).overall_threshold(&bounds);
-                    let tb = graph.rank_merge(*b).overall_threshold(&bounds);
+                    let ta = graph.rank_merge(*a).overall_threshold(bounds);
+                    let tb = graph.rank_merge(*b).overall_threshold(bounds);
                     tb.total_cmp(&ta)
                 });
                 rms.truncate(1);
@@ -122,36 +122,40 @@ impl Atc {
         if graph.rank_merge(rm_id).is_done() {
             return false;
         }
-        let bounds = graph.stream_bounds();
         let now = sources.clock().now_us();
-        let rm = graph.rank_merge_mut(rm_id);
-        rm.maintain(&bounds, now);
-        if rm.is_done() {
-            Self::record_completion(graph, sources, governor, stats, rm_id);
+        if Self::maintain(graph, sources, governor, stats, rm_id, now) {
             return true;
         }
-        let Some(stream) = graph.rank_merge(rm_id).choose_read(&bounds) else {
+        let Some(stream) = graph.rank_merge(rm_id).choose_read(graph.bound_table()) else {
             // Nothing readable: either done (caught next round) or every
             // stream this UQ wants is exhausted; maintenance above already
             // drained what it could.
-            let bounds = graph.stream_bounds();
-            let rm = graph.rank_merge_mut(rm_id);
-            rm.maintain(&bounds, now);
-            if rm.is_done() {
-                Self::record_completion(graph, sources, governor, stats, rm_id);
-                return true;
-            }
-            return false;
+            return Self::maintain(graph, sources, governor, stats, rm_id, now);
         };
         graph.read_stream_governed(stream, sources, governor);
-        let bounds = graph.stream_bounds();
         let now = sources.clock().now_us();
-        let rm = graph.rank_merge_mut(rm_id);
-        rm.maintain(&bounds, now);
-        if rm.is_done() {
+        Self::maintain(graph, sources, governor, stats, rm_id, now);
+        true
+    }
+
+    /// Run one rank-merge's maintenance cycle against the graph's current
+    /// bounds, recording its completion if that finished it. Returns
+    /// whether it is done.
+    fn maintain(
+        graph: &mut QueryPlanGraph,
+        sources: &Sources,
+        governor: &SourceGovernor,
+        stats: &mut ExecStats,
+        rm_id: NodeId,
+        now: u64,
+    ) -> bool {
+        let (rm, bounds) = graph.rank_merge_with_bounds(rm_id);
+        rm.maintain(bounds, now);
+        let done = rm.is_done();
+        if done {
             Self::record_completion(graph, sources, governor, stats, rm_id);
         }
-        true
+        done
     }
 
     fn record_completion(

@@ -10,7 +10,7 @@
 use crate::access::AccessModuleArena;
 use crate::govern::SourceGovernor;
 use crate::node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
-use crate::rank_merge::RankMerge;
+use crate::rank_merge::{RankMerge, StreamBounds};
 use qsys_query::SigId;
 use qsys_source::{SourceError, Sources};
 use qsys_types::{Epoch, TimeCategory, Tuple};
@@ -28,10 +28,47 @@ pub enum StreamRead {
     Failed(SourceError),
 }
 
+/// Per-node stream bounds, indexed by [`NodeId`]: each live stream
+/// leaf's [`StreamLeaf::effective_bound`], and 0.0 for every other node
+/// and for removed slots. The plan graph writes it wherever a leaf is
+/// added, read, quarantined or removed, so the ATC reads bounds by index
+/// instead of rebuilding a map per service.
+#[derive(Clone, Debug, Default)]
+pub struct BoundTable(Vec<f64>);
+
+impl BoundTable {
+    /// The bound recorded for `id` (0.0 past the end).
+    #[inline]
+    pub fn get(&self, id: NodeId) -> f64 {
+        self.0.get(id.index()).copied().unwrap_or(0.0)
+    }
+
+    /// Every slot, by node index.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.0
+    }
+
+    fn set(&mut self, id: NodeId, bound: f64) {
+        if self.0.len() <= id.index() {
+            self.0.resize(id.index() + 1, 0.0);
+        }
+        self.0[id.index()] = bound;
+    }
+}
+
+impl StreamBounds for BoundTable {
+    #[inline]
+    fn bound(&self, node: NodeId) -> f64 {
+        self.get(node)
+    }
+}
+
 /// The executable plan graph for one ATC.
 #[derive(Debug, Default)]
 pub struct QueryPlanGraph {
     nodes: Vec<Option<Node>>,
+    /// Stream bounds by node id, kept in step with the leaves.
+    bounds: BoundTable,
     epoch: Epoch,
     /// Reuse index: interned subexpression signature → the node computing
     /// it. Keyed on [`SigId`], so lookups hash one `u32`.
@@ -79,6 +116,11 @@ impl QueryPlanGraph {
             // index points at the producer.
             self.sig_index.entry(s).or_insert(id);
         }
+        let bound = match &kind {
+            NodeKind::Stream(leaf) => leaf.effective_bound(),
+            _ => 0.0,
+        };
+        self.bounds.set(id, bound);
         self.nodes.push(Some(Node {
             id,
             kind,
@@ -158,6 +200,7 @@ impl QueryPlanGraph {
                 self.modules.release(input.module);
             }
         }
+        self.bounds.set(id, 0.0);
     }
 
     /// Immutable node access.
@@ -274,16 +317,40 @@ impl QueryPlanGraph {
     }
 
     /// Current raw-product bounds of every stream leaf (zero for
-    /// quarantined leaves, so the threshold machinery drains around them).
+    /// quarantined leaves, so the threshold machinery drains around them),
+    /// as a map copied out of [`Self::bound_table`].
     pub fn stream_bounds(&self) -> HashMap<NodeId, f64> {
         self.nodes
             .iter()
             .flatten()
-            .filter_map(|n| match &n.kind {
-                NodeKind::Stream(leaf) => Some((n.id, leaf.effective_bound())),
-                _ => None,
-            })
+            .filter(|n| matches!(n.kind, NodeKind::Stream(_)))
+            .map(|n| (n.id, self.bounds.get(n.id)))
             .collect()
+    }
+
+    /// Current stream bounds by node id, without building a map.
+    pub fn bound_table(&self) -> &BoundTable {
+        &self.bounds
+    }
+
+    /// A rank-merge operator together with the bound table, for running
+    /// its maintenance against the current bounds in place.
+    pub fn rank_merge_with_bounds(&mut self, id: NodeId) -> (&mut RankMerge, &BoundTable) {
+        // lint:allow(panic-path): same contract as node_mut() — a dead id is corruption
+        let node = self.nodes[id.index()].as_mut().expect("live node");
+        match &mut node.kind {
+            NodeKind::RankMerge(rm) => (rm, &self.bounds),
+            other => panic!("{id} is a {}, not a rank-merge", other.label()),
+        }
+    }
+
+    /// Re-read leaf `id`'s bound into the table after its backing or
+    /// quarantine flag changed.
+    fn refresh_bound(&mut self, id: NodeId) {
+        if let Some(NodeKind::Stream(leaf)) = self.try_node(id).map(|n| &n.kind) {
+            let bound = leaf.effective_bound();
+            self.bounds.set(id, bound);
+        }
     }
 
     /// Read one tuple from the stream leaf `id` and route it through the
@@ -305,6 +372,7 @@ impl QueryPlanGraph {
                 other => panic!("{id} is a {}, not a stream", other.label()),
             }
         };
+        self.refresh_bound(id);
         let Some(tuple) = tuple else {
             return false;
         };
@@ -323,48 +391,62 @@ impl QueryPlanGraph {
         sources: &Sources,
         governor: &SourceGovernor,
     ) -> StreamRead {
-        let epoch = self.epoch;
-        let tuple = {
-            // lint:allow(panic-path): the ATC drives only ids it was handed from this graph
-            let node = self.nodes[id.index()].as_mut().expect("live node");
-            match &mut node.kind {
-                NodeKind::Stream(leaf) => {
-                    if leaf.quarantined {
-                        return StreamRead::Exhausted;
-                    }
-                    let read = match &mut leaf.backing {
-                        StreamBacking::Remote(s) => governor.read_stream(sources, s),
-                        replay => Ok(replay.read(sources)),
-                    };
-                    match read {
-                        Ok(Some(t)) => {
-                            leaf.archive.push((t.clone(), epoch));
-                            t
-                        }
-                        Ok(None) => return StreamRead::Exhausted,
-                        Err(e) => {
-                            leaf.quarantined = true;
-                            // Blame the relation named by the error, not the
-                            // leaf's whole rel set: a pushdown leaf over
-                            // {A, B} dying because B is faulted must not mark
-                            // A failed for queries reading A through healthy
-                            // leaves. Every consumer of this leaf reads
-                            // `e.rel()` too, so they still degrade.
-                            governor.note_quarantined(&[e.rel()]);
-                            return StreamRead::Failed(e);
-                        }
-                    }
-                }
-                other => panic!("{id} is a {}, not a stream", other.label()),
+        let read = self.fetch_governed(id, sources, governor);
+        self.refresh_bound(id);
+        match read {
+            Ok(tuple) => {
+                self.route_from(id, tuple, sources, Some(governor));
+                StreamRead::Delivered
             }
+            Err(outcome) => outcome,
+        }
+    }
+
+    /// The fetch half of [`Self::read_stream_governed`]: the delivered
+    /// tuple (archived), or the outcome to report instead.
+    fn fetch_governed(
+        &mut self,
+        id: NodeId,
+        sources: &Sources,
+        governor: &SourceGovernor,
+    ) -> Result<Tuple, StreamRead> {
+        let epoch = self.epoch;
+        // lint:allow(panic-path): the ATC drives only ids it was handed from this graph
+        let node = self.nodes[id.index()].as_mut().expect("live node");
+        let NodeKind::Stream(leaf) = &mut node.kind else {
+            panic!("{id} is a {}, not a stream", node.kind.label());
         };
-        self.route_from(id, tuple, sources, Some(governor));
-        StreamRead::Delivered
+        if leaf.quarantined {
+            return Err(StreamRead::Exhausted);
+        }
+        let read = match &mut leaf.backing {
+            StreamBacking::Remote(s) => governor.read_stream(sources, s),
+            replay => Ok(replay.read(sources)),
+        };
+        match read {
+            Ok(Some(t)) => {
+                leaf.archive.push((t.clone(), epoch));
+                Ok(t)
+            }
+            Ok(None) => Err(StreamRead::Exhausted),
+            Err(e) => {
+                leaf.quarantined = true;
+                // Blame the relation named by the error, not the leaf's
+                // whole rel set: a pushdown leaf over {A, B} dying because
+                // B is faulted must not mark A failed for queries reading A
+                // through healthy leaves. Every consumer of this leaf reads
+                // `e.rel()` too, so they still degrade.
+                governor.note_quarantined(&[e.rel()]);
+                Err(StreamRead::Failed(e))
+            }
+        }
     }
 
     /// Route a tuple delivered by leaf `id` through the graph (BFS over
     /// consumer edges, charging routing time per hop). Joins probe through
-    /// `governor` when one is supplied.
+    /// `governor` when one is supplied. An m-join without consumers — a
+    /// finished query's operator, detached but retained for reuse — still
+    /// stores the tuple and runs its probes, but builds no results.
     fn route_from(
         &mut self,
         id: NodeId,
@@ -373,41 +455,37 @@ impl QueryPlanGraph {
         governor: Option<&SourceGovernor>,
     ) {
         let epoch = self.epoch;
-        let start: Vec<(NodeId, usize)> = self.node(id).children.clone();
-        let mut queue: VecDeque<(NodeId, usize, Tuple)> = start
-            .into_iter()
-            .map(|(c, i)| (c, i, tuple.clone()))
+        let mut queue: VecDeque<(NodeId, usize, Tuple)> = self
+            .node(id)
+            .children
+            .iter()
+            .map(|&(c, i)| (c, i, tuple.clone()))
             .collect();
         let route_us = sources.cost_profile().route_us;
         while let Some((nid, idx, t)) = queue.pop_front() {
             sources.clock().charge(TimeCategory::Join, route_us);
-            let outputs: Vec<Tuple> = {
-                // Split borrow: the node is mutated, the module arena is
-                // only read (module state is behind per-slot `RefCell`s).
-                let modules = &self.modules;
-                // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
-                let node = self.nodes[nid.index()].as_mut().expect("live node");
-                match &mut node.kind {
-                    NodeKind::Split => vec![t],
-                    NodeKind::MJoin(mj) => {
-                        mj.insert_governed(idx, t, epoch, sources, governor, modules)
-                    }
-                    NodeKind::RankMerge(rm) => {
-                        rm.accept(idx, t);
-                        Vec::new()
-                    }
-                    NodeKind::Stream(_) => {
-                        panic!("stream {nid} cannot be a routing target")
-                    }
+            // Split borrow: the node is mutated, the module arena is only
+            // read (module state is behind per-slot `RefCell`s).
+            let modules = &self.modules;
+            // lint:allow(panic-path): consumer edges are kept symmetric (verify_graph checks), so nid is live
+            let node = self.nodes[nid.index()].as_mut().expect("live node");
+            let emit = node.has_consumers();
+            let outputs: Vec<Tuple> = match &mut node.kind {
+                NodeKind::Split => vec![t],
+                NodeKind::MJoin(mj) => {
+                    mj.insert_governed(idx, t, epoch, sources, governor, modules, emit)
+                }
+                NodeKind::RankMerge(rm) => {
+                    rm.accept(idx, t);
+                    Vec::new()
+                }
+                NodeKind::Stream(_) => {
+                    panic!("stream {nid} cannot be a routing target")
                 }
             };
-            if outputs.is_empty() {
-                continue;
-            }
-            let children = self.node(nid).children.clone();
             for out in outputs {
-                for (c, i) in &children {
-                    queue.push_back((*c, *i, out.clone()));
+                for &(c, i) in &node.children {
+                    queue.push_back((c, i, out.clone()));
                 }
             }
         }
@@ -662,6 +740,79 @@ mod tests {
         assert_eq!(bounds.len(), 2);
         assert!((bounds[&s0] - 1.0).abs() < 1e-12);
         assert!((bounds[&s1] - 1.0).abs() < 1e-12);
+    }
+
+    /// The bound table against an independent reading of every leaf, and
+    /// against [`QueryPlanGraph::stream_bounds`].
+    fn assert_bounds_in_step(g: &QueryPlanGraph) {
+        let map = g.stream_bounds();
+        let slots = g.bound_table().as_slice().len();
+        assert!(g.node_ids().all(|id| id.index() < slots));
+        for id in (0..slots as u32).map(NodeId) {
+            let want = match g.try_node(id).map(|n| &n.kind) {
+                Some(NodeKind::Stream(leaf)) => {
+                    assert_eq!(map[&id], leaf.effective_bound(), "{id}");
+                    leaf.effective_bound()
+                }
+                _ => {
+                    assert!(!map.contains_key(&id), "{id}");
+                    0.0
+                }
+            };
+            assert_eq!(g.bound_table().get(id), want, "{id}");
+        }
+    }
+
+    #[test]
+    fn bound_table_tracks_reads_exhaustion_quarantine_and_removal() {
+        let mut sources = sources_with_tables();
+        sources.set_injector(qsys_source::FaultInjector::new(
+            qsys_source::FaultSpec::parse("rel1:outage=0..").unwrap(),
+            0,
+        ));
+        let (mut g, s0, s1, rmn) = small_graph(&sources);
+        assert_bounds_in_step(&g);
+        assert!(g.bound_table().get(s0) > 0.0 && g.bound_table().get(s1) > 0.0);
+        // Reads lower the bound; the last read exhausts the stream.
+        let governor = SourceGovernor::new(crate::govern::RetryPolicy::default());
+        assert!(g.read_stream(s0, &sources));
+        assert_bounds_in_step(&g);
+        let mut reads = 1;
+        while g.read_stream_governed(s0, &sources, &governor) == StreamRead::Delivered {
+            reads += 1;
+            assert_bounds_in_step(&g);
+        }
+        assert_eq!(reads, 5);
+        assert_eq!(g.bound_table().get(s0), 0.0);
+        assert_bounds_in_step(&g);
+        // A governed fetch that gives up quarantines the leaf.
+        assert!(matches!(
+            g.read_stream_governed(s1, &sources, &governor),
+            StreamRead::Failed(_)
+        ));
+        assert!(g.stream_leaf(s1).quarantined);
+        assert_eq!(g.bound_table().get(s1), 0.0);
+        assert_bounds_in_step(&g);
+        // Removing nodes clears their slots.
+        for id in [rmn, s1] {
+            let parents = g.node(id).parents.clone();
+            for p in parents {
+                g.disconnect(p, id);
+            }
+            let children: Vec<NodeId> = g.node(id).children.iter().map(|(c, _)| *c).collect();
+            for c in children {
+                g.disconnect(id, c);
+            }
+            g.remove_node(id);
+            assert_bounds_in_step(&g);
+        }
+        // A leaf added after removals gets its own slot.
+        let s2 = g.add_stream(
+            StreamBacking::Remote(sources.open_stream(RelId::new(0), None)),
+            None,
+        );
+        assert!(g.bound_table().get(s2) > 0.0);
+        assert_bounds_in_step(&g);
     }
 
     #[test]

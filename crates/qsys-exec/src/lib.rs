@@ -15,7 +15,14 @@
 //! The **ATC** ("air traffic controller") coordinates everything: it looks
 //! across all rank-merge operators' thresholds, picks which source to read
 //! next, and routes the resulting tuples through the graph until the top-k
-//! answers of every user query are known.
+//! answers of every user query are known. It reads stream bounds from the
+//! graph's dense [`BoundTable`], which the graph keeps in step with its
+//! leaves.
+//!
+//! Operators of finished queries stay in the graph, detached but retained,
+//! for later queries to reuse. An m-join without a consumer keeps its state
+//! and pays every charge (it stores each arrival and runs every probe), but
+//! builds no join results, since nothing would read them.
 //!
 //! ## Threading model
 //!
@@ -65,8 +72,8 @@ pub mod stats;
 pub use access::{AccessModule, AccessModuleArena, ModuleId, RemoteModule, StoredModule};
 pub use atc::{Atc, SchedulingPolicy};
 pub use govern::{FaultStats, RetryPolicy, SourceGovernor};
-pub use graph::{QueryPlanGraph, StreamRead};
+pub use graph::{BoundTable, QueryPlanGraph, StreamRead};
 pub use mjoin::{MJoin, MJoinInput};
 pub use node::{Node, NodeId, NodeKind, StreamBacking, StreamLeaf};
-pub use rank_merge::{CqRegistration, RankMerge, TopKResult};
+pub use rank_merge::{CqRegistration, RankMerge, StreamBounds, TopKResult};
 pub use stats::{ExecStats, UqStats};

@@ -20,11 +20,19 @@
 //! transient recovery joins borrow ids without retaining. This keeps the
 //! whole executor `Send`: the arena moves with its lane onto a lane
 //! thread, and no `Rc` ties operators to the spawning thread.
+//!
+//! An insert keeps its partial matches as per-level `(parent, match)`
+//! entries and builds a joined [`Tuple`] only at the last probe step. A
+//! finished query's m-join stays in the graph, detached but retained, so
+//! later queries can reuse its state (Section 6.3). While it has no
+//! consumer, an arrival is still stored and every probe still runs, with
+//! the same clock charges, remote probes, probe-cache fills and
+//! selectivity counts, but no join result is built: nothing would read it.
 
 use crate::access::{AccessModule, AccessModuleArena, ModuleId};
+use crate::govern::SourceGovernor;
 use qsys_source::Sources;
-use qsys_types::{Epoch, RelId, Selection, Tuple};
-use std::collections::HashMap;
+use qsys_types::{Epoch, FxHashMap, RelId, Selection, Tuple};
 
 /// One join predicate between two relations handled by this m-join.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -73,18 +81,49 @@ impl InputStats {
     }
 }
 
+/// A join predicate oriented for one probe step: it links a relation the
+/// partial match already covers — matched at `level` of its chain — to
+/// the probed input.
+#[derive(Clone, Copy, Debug)]
+struct Cond {
+    level: usize,
+    covered_rel: RelId,
+    covered_col: usize,
+    target_rel: RelId,
+    target_col: usize,
+}
+
+/// The partial matches after one probe step: entry `(parent, m)` extends
+/// entry `parent` of the previous level with the tuple `m` matched at this
+/// step. A partial match is the chain of its entries back to the arrival;
+/// it is never materialized as a joined [`Tuple`].
+type Level = Vec<(u32, Tuple)>;
+
+/// Where a probe step's matches go.
+enum Sink<'a> {
+    /// An intermediate step: keep `(parent, match)` for the next step.
+    Level(&'a mut Level),
+    /// The last step of an m-join with a consumer: build joined results.
+    Emit(&'a mut Vec<Tuple>),
+    /// The last step of an m-join without one: matches are only counted.
+    Discard,
+}
+
 /// An m-way pipelined hash join.
 #[derive(Debug)]
 pub struct MJoin {
     inputs: Vec<MJoinInput>,
     preds: Vec<JoinPred>,
+    /// Per predicate, the inputs owning its left and right relation
+    /// (parallel to `preds`), so orienting a predicate is two bit tests.
+    pred_inputs: Vec<(Option<usize>, Option<usize>)>,
     stats: Vec<InputStats>,
     output_rels: Vec<RelId>,
     /// Relation → index of the input covering it. Inputs of one m-join
     /// cover disjoint relation sets (a CQ references each relation once),
     /// so probe routing reduces to bitmask tests over input indices — no
     /// per-insert relation-set clones.
-    owner: HashMap<RelId, usize>,
+    owner: FxHashMap<RelId, usize>,
 }
 
 impl MJoin {
@@ -102,42 +141,65 @@ impl MJoin {
             inputs.iter().flat_map(|i| i.rels.iter().copied()).collect();
         output_rels.sort_unstable();
         output_rels.dedup();
-        let mut owner = HashMap::with_capacity(output_rels.len());
+        let mut owner = FxHashMap::default();
+        owner.reserve(output_rels.len());
         for (idx, input) in inputs.iter().enumerate() {
             for rel in &input.rels {
                 let prev = owner.insert(*rel, idx);
                 debug_assert!(prev.is_none(), "inputs cover disjoint relations");
             }
         }
-        let mj = MJoin {
+        let mut mj = MJoin {
             stats: vec![InputStats::default(); inputs.len()],
             inputs,
-            preds,
+            preds: Vec::new(),
+            pred_inputs: Vec::new(),
             output_rels,
             owner,
         };
+        for pred in preds {
+            mj.push_pred(pred);
+        }
         mj.register_probe_keys(modules);
         mj
     }
 
-    /// If `pred` connects relations covered by `mask` (a bitmask of input
+    fn push_pred(&mut self, pred: JoinPred) {
+        let ends = (
+            self.owner.get(&pred.left_rel).copied(),
+            self.owner.get(&pred.right_rel).copied(),
+        );
+        self.preds.push(pred);
+        self.pred_inputs.push(ends);
+    }
+
+    /// If predicate `p` connects an input in `mask` (a bitmask of input
     /// indices) to the `target` input, return
-    /// `(covered_rel, covered_col, target_rel, target_col)`.
+    /// `(covered_input, covered_rel, covered_col, target_rel, target_col)`.
     fn oriented(
         &self,
-        pred: &JoinPred,
+        p: usize,
         mask: u64,
         target: usize,
-    ) -> Option<(RelId, usize, RelId, usize)> {
-        let left = self.owner.get(&pred.left_rel).copied();
-        let right = self.owner.get(&pred.right_rel).copied();
-        let in_mask = |o: Option<usize>| o.is_some_and(|i| mask & (1 << i) != 0);
-        if in_mask(left) && right == Some(target) {
-            Some((pred.left_rel, pred.left_col, pred.right_rel, pred.right_col))
-        } else if in_mask(right) && left == Some(target) {
-            Some((pred.right_rel, pred.right_col, pred.left_rel, pred.left_col))
-        } else {
-            None
+    ) -> Option<(usize, RelId, usize, RelId, usize)> {
+        let pred = &self.preds[p];
+        let in_mask = |i: usize| mask & (1 << i) != 0;
+        match self.pred_inputs[p] {
+            (Some(l), Some(r)) if in_mask(l) && r == target => Some((
+                l,
+                pred.left_rel,
+                pred.left_col,
+                pred.right_rel,
+                pred.right_col,
+            )),
+            (Some(l), Some(r)) if in_mask(r) && l == target => Some((
+                r,
+                pred.right_rel,
+                pred.right_col,
+                pred.left_rel,
+                pred.left_col,
+            )),
+            _ => None,
         }
     }
 
@@ -179,7 +241,7 @@ impl MJoin {
     /// Add a predicate (grafting may extend a component).
     pub fn add_pred(&mut self, pred: JoinPred, modules: &AccessModuleArena) {
         if !self.preds.contains(&pred) {
-            self.preds.push(pred);
+            self.push_pred(pred);
             self.register_probe_keys(modules);
         }
         self.stats.resize(self.inputs.len(), InputStats::default());
@@ -198,21 +260,28 @@ impl MJoin {
         sources: &Sources,
         modules: &AccessModuleArena,
     ) -> Vec<Tuple> {
-        self.insert_governed(input_idx, tuple, epoch, sources, None, modules)
+        self.insert_governed(input_idx, tuple, epoch, sources, None, modules, true)
     }
 
     /// Like [`MJoin::insert`], but remote probes go through `governor`'s
     /// retry/breaker loop when one is supplied: a probe that gives up
     /// contributes no matches (the loss is recorded against the batch so
     /// affected queries resolve as degraded) instead of panicking the lane.
+    ///
+    /// With `emit` false — the m-join has no consumer — the arrival is
+    /// still stored and every probe still runs, with the same charges,
+    /// remote probes, probe-cache fills and selectivity counts, but no
+    /// joined result is built and the returned vector is empty.
+    #[allow(clippy::too_many_arguments)]
     pub fn insert_governed(
         &mut self,
         input_idx: usize,
         tuple: Tuple,
         epoch: Epoch,
         sources: &Sources,
-        governor: Option<&crate::govern::SourceGovernor>,
+        governor: Option<&SourceGovernor>,
         modules: &AccessModuleArena,
+        emit: bool,
     ) -> Vec<Tuple> {
         debug_assert!(input_idx < self.inputs.len());
         if self.inputs[input_idx].store_arrivals {
@@ -222,45 +291,51 @@ impl MJoin {
                 }
             }
         }
-        if self.inputs.len() == 1 {
-            return vec![tuple];
+        let n = self.inputs.len();
+        if n == 1 {
+            return if emit { vec![tuple] } else { Vec::new() };
         }
 
         let mut covered: u64 = 1 << input_idx;
-        let mut partials = vec![tuple];
-        let mut remaining: Vec<usize> =
-            (0..self.inputs.len()).filter(|&i| i != input_idx).collect();
-
-        while !remaining.is_empty() {
-            if partials.is_empty() {
+        let mut remaining: u64 = (u64::MAX >> (64 - n)) & !covered;
+        // `levels[l]` = (input matched at step l, the partial matches after
+        // it); level 0 is the arrival.
+        let mut levels: Vec<(usize, Level)> = vec![(input_idx, vec![(u32::MAX, tuple)])];
+        let mut out = Vec::new();
+        while remaining != 0 {
+            if levels.last().is_some_and(|(_, level)| level.is_empty()) {
                 return Vec::new();
             }
             // Probe sequence: among inputs connected to the covered set,
             // pick the most selective (fewest matches per probe) first —
             // the runtime adaptivity of [24].
-            let Some(pick) = self.pick_next(covered, &remaining) else {
+            let Some(pick) = self.pick_next(covered, remaining) else {
                 // Disconnected component: cannot complete the join.
                 return Vec::new();
             };
-            remaining.retain(|&i| i != pick);
-            partials = self.probe_step(pick, covered, partials, sources, governor, modules);
+            remaining &= !(1 << pick);
+            let mut next = Level::new();
+            let sink = match (remaining != 0, emit) {
+                (true, _) => Sink::Level(&mut next),
+                (false, true) => Sink::Emit(&mut out),
+                (false, false) => Sink::Discard,
+            };
+            self.probe_step(pick, covered, &levels, sink, sources, governor, modules);
             covered |= 1 << pick;
+            if remaining != 0 {
+                levels.push((pick, next));
+            }
         }
-        partials
+        out
     }
 
     /// Choose the next input to probe: connected to the `covered` input
     /// mask, lowest observed selectivity (unknowns use a neutral prior of
-    /// 1.0).
-    fn pick_next(&self, covered: u64, remaining: &[usize]) -> Option<usize> {
-        remaining
-            .iter()
-            .copied()
-            .filter(|&i| {
-                self.preds
-                    .iter()
-                    .any(|p| self.oriented(p, covered, i).is_some())
-            })
+    /// 1.0); ties go to the lowest input index.
+    fn pick_next(&self, covered: u64, remaining: u64) -> Option<usize> {
+        (0..self.inputs.len())
+            .filter(|&i| remaining & (1 << i) != 0)
+            .filter(|&i| (0..self.preds.len()).any(|p| self.oriented(p, covered, i).is_some()))
             .min_by(|&a, &b| {
                 let sa = self.stats[a].selectivity().unwrap_or(1.0);
                 let sb = self.stats[b].selectivity().unwrap_or(1.0);
@@ -268,75 +343,84 @@ impl MJoin {
             })
     }
 
-    /// Probe `target` with every partial, extending matches and applying
-    /// any additional predicates linking `target` to the covered set.
+    /// Probe `target` with every partial match of the last level, keeping
+    /// the matches that also satisfy any additional predicates linking
+    /// `target` to the covered set, and hand them to `sink`.
+    #[allow(clippy::too_many_arguments)]
     fn probe_step(
         &mut self,
         target: usize,
         covered: u64,
-        partials: Vec<Tuple>,
+        levels: &[(usize, Level)],
+        mut sink: Sink<'_>,
         sources: &Sources,
-        governor: Option<&crate::govern::SourceGovernor>,
+        governor: Option<&SourceGovernor>,
         modules: &AccessModuleArena,
-    ) -> Vec<Tuple> {
-        let conds: Vec<(RelId, usize, RelId, usize)> = self
-            .preds
-            .iter()
-            .filter_map(|p| self.oriented(p, covered, target))
+    ) {
+        let conds: Vec<Cond> = (0..self.preds.len())
+            .filter_map(|p| {
+                let (input, covered_rel, covered_col, target_rel, target_col) =
+                    self.oriented(p, covered, target)?;
+                Some(Cond {
+                    level: levels.iter().position(|(i, _)| *i == input)?,
+                    covered_rel,
+                    covered_col,
+                    target_rel,
+                    target_col,
+                })
+            })
             .collect();
-        debug_assert!(!conds.is_empty());
-        // lint:allow(panic-path): join graphs are connected by construction (checked by the debug_assert above)
-        let (probe_cond, extra_conds) = conds.split_first().expect("connected");
-        let epoch_cap = self.inputs[target].epoch_cap;
-
-        let mut out = Vec::new();
-        for partial in &partials {
-            let Some(key) = partial.value_of(probe_cond.0, probe_cond.1) else {
+        debug_assert!(
+            !conds.is_empty(),
+            "join graphs are connected by construction"
+        );
+        let Some((probe, extra)) = conds.split_first() else {
+            return;
+        };
+        let input = &self.inputs[target];
+        let Some(module) = modules.module(input.module) else {
+            // A detached (stateless) input can never contribute matches.
+            return;
+        };
+        let residual = input.selection.as_ref().zip(input.rels.first().copied());
+        // Disjoint field borrows: the residual selection is read through
+        // `self.inputs` while the counters are bumped through `self.stats`.
+        let stats = &mut self.stats[target];
+        let Some(((_, frontier), earlier)) = levels.split_last() else {
+            return;
+        };
+        let mut row: Vec<&Tuple> = Vec::with_capacity(levels.len());
+        for (idx, (parent, last)) in frontier.iter().enumerate() {
+            // The partial match's tuples, one per level, arrival first.
+            row.clear();
+            row.resize(levels.len(), last);
+            let mut up = *parent;
+            for (l, (_, level)) in earlier.iter().enumerate().rev() {
+                let (grand, t) = &level[up as usize];
+                row[l] = t;
+                up = *grand;
+            }
+            let Some(key) = row[probe.level].value_of(probe.covered_rel, probe.covered_col) else {
                 continue;
             };
-            let Some(module) = modules.module(self.inputs[target].module) else {
-                // A detached (stateless) input can never contribute matches.
-                continue;
-            };
-            let matches: Vec<Tuple> = match &mut *module.borrow_mut() {
-                AccessModule::Stored(s) => s.probe(
-                    (probe_cond.2, probe_cond.3),
-                    key,
-                    epoch_cap,
-                    sources.clock(),
-                ),
-                AccessModule::Remote(r) => r
-                    .probe_governed(probe_cond.3, key, sources, governor)
-                    .to_vec(),
-            };
-            self.stats[target].probes += 1;
-            // Disjoint field borrows: the residual selection is read through
-            // `self.inputs`, the match counter bumped through `self.stats` —
-            // no per-probe clone of the selection.
-            let residual = &self.inputs[target].selection;
-            let target_rel = self.inputs[target].rels.first().copied();
-            for m in matches {
-                // Residual selection on the probed relation.
-                if let (Some(sel), Some(rel)) = (residual, target_rel) {
-                    let passes = m.part(rel).is_some_and(|p| sel.matches(&p.values));
-                    if !passes {
-                        continue;
-                    }
+            stats.probes += 1;
+            let parent = idx as u32;
+            match &mut *module.borrow_mut() {
+                AccessModule::Stored(s) => {
+                    let hits = s.probe(
+                        (probe.target_rel, probe.target_col),
+                        key,
+                        input.epoch_cap,
+                        sources.clock(),
+                    );
+                    keep_matches(hits, residual, extra, &row, parent, stats, &mut sink);
                 }
-                // Remaining predicates between the covered set and target.
-                let ok = extra_conds.iter().all(|(lr, lc, rr, rc)| {
-                    match (partial.value_of(*lr, *lc), m.value_of(*rr, *rc)) {
-                        (Some(a), Some(b)) => a.joins_with(b),
-                        _ => false,
-                    }
-                });
-                if ok {
-                    self.stats[target].matches += 1;
-                    out.push(partial.join(&m));
+                AccessModule::Remote(r) => {
+                    let hits = r.probe_governed(probe.target_col, key, sources, governor);
+                    keep_matches(hits.iter(), residual, extra, &row, parent, stats, &mut sink);
                 }
             }
         }
-        out
     }
 
     /// Observed selectivity per input (for tests and the optimizer's
@@ -359,6 +443,56 @@ impl MJoin {
             .map(|m| m.borrow().approx_bytes())
             .sum()
     }
+}
+
+/// Filter one probe's `hits` for the partial match `row` (its tuples by
+/// level; entry `parent` of the last level): apply the probed input's
+/// residual selection and the step's extra predicates, count each
+/// survivor, and hand it to `sink`.
+fn keep_matches<'t>(
+    hits: impl Iterator<Item = &'t Tuple>,
+    residual: Option<(&Selection, RelId)>,
+    extra: &[Cond],
+    row: &[&Tuple],
+    parent: u32,
+    stats: &mut InputStats,
+    sink: &mut Sink<'_>,
+) {
+    for m in hits {
+        if let Some((sel, rel)) = residual {
+            if !m.part(rel).is_some_and(|p| sel.matches(&p.values)) {
+                continue;
+            }
+        }
+        let ok = extra.iter().all(|c| {
+            match (
+                row[c.level].value_of(c.covered_rel, c.covered_col),
+                m.value_of(c.target_rel, c.target_col),
+            ) {
+                (Some(a), Some(b)) => a.joins_with(b),
+                _ => false,
+            }
+        });
+        if !ok {
+            continue;
+        }
+        stats.matches += 1;
+        match sink {
+            Sink::Level(level) => level.push((parent, m.clone())),
+            Sink::Emit(out) => out.push(joined(row, m)),
+            Sink::Discard => {}
+        }
+    }
+}
+
+/// The joined result of a partial match `row` extended by `last`.
+fn joined(row: &[&Tuple], last: &Tuple) -> Tuple {
+    let arity = row.iter().map(|t| t.arity()).sum::<usize>() + last.arity();
+    let mut parts = Vec::with_capacity(arity);
+    for t in row.iter().copied().chain(std::iter::once(last)) {
+        parts.extend(t.parts().iter().cloned());
+    }
+    Tuple::from_parts(parts)
 }
 
 #[cfg(test)]
@@ -593,6 +727,92 @@ mod tests {
         let before = mj.probe_counts()[1];
         mj.insert(0, tup(0, 99, &[1, 9], 1.0), Epoch(0), &s, &modules);
         assert_eq!(mj.probe_counts()[1], before, "R1 probe was skipped");
+    }
+
+    /// A consumer-less m-join does all the work of one with a consumer —
+    /// the same charges, probes, probe-cache fills, selectivity counts and
+    /// stored state — but builds no results.
+    #[test]
+    fn consumerless_twin_does_the_same_work() {
+        let rel2 = RelId::new(2);
+        let build = || {
+            let s = sources();
+            let rows = (0..12)
+                .map(|i| {
+                    let values = vec![Value::Int(i % 4), Value::Int(i % 3), Value::Int(i % 2)];
+                    Arc::new(BaseTuple::new(rel2, i as u64, values, 1.0))
+                })
+                .collect();
+            s.register(Table::new(rel2, rows));
+            let mut modules = AccessModuleArena::new();
+            let remote = MJoinInput {
+                rels: vec![rel2],
+                module: modules.alloc(AccessModule::Remote(RemoteModule::new(rel2))),
+                epoch_cap: None,
+                store_arrivals: false,
+                selection: Some(Selection::eq(2, Value::Int(1))),
+            };
+            // A triangle, so the last step checks an extra predicate.
+            let mj = MJoin::new(
+                vec![
+                    stored_input(0, &mut modules),
+                    stored_input(1, &mut modules),
+                    remote,
+                ],
+                vec![pred(0, 0, 1, 0), pred(1, 1, 2, 0), pred(0, 1, 2, 1)],
+                &modules,
+            );
+            (s, modules, mj)
+        };
+        let (s_emit, m_emit, mut emitting) = build();
+        let (s_quiet, m_quiet, mut quiet) = build();
+        let mut state = 7u64;
+        let mut emitted = 0;
+        for i in 0..120 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let input = (state >> 33) as usize % 2;
+            let keys = [((state >> 40) % 4) as i64, ((state >> 50) % 3) as i64];
+            let t = tup(input as u32, i, &keys, 1.0);
+            let out =
+                emitting.insert_governed(input, t.clone(), Epoch(0), &s_emit, None, &m_emit, true);
+            emitted += out.len();
+            let none = quiet.insert_governed(input, t, Epoch(0), &s_quiet, None, &m_quiet, false);
+            assert!(none.is_empty());
+        }
+        assert!(emitted > 0, "the workload must produce results");
+        assert_eq!(s_emit.clock().breakdown(), s_quiet.clock().breakdown());
+        assert_eq!(s_emit.probes(), s_quiet.probes());
+        assert_eq!(s_emit.probe_result_tuples(), s_quiet.probe_result_tuples());
+        assert_eq!(emitting.probe_counts(), quiet.probe_counts());
+        assert_eq!(
+            emitting.observed_selectivities(),
+            quiet.observed_selectivities()
+        );
+        for (a, b) in emitting.inputs().iter().zip(quiet.inputs()) {
+            match (
+                &*m_emit.module(a.module).unwrap().borrow(),
+                &*m_quiet.module(b.module).unwrap().borrow(),
+            ) {
+                (AccessModule::Stored(x), AccessModule::Stored(y)) => {
+                    let prov = |m: &StoredModule| -> Vec<_> {
+                        m.entries_before(Epoch(1))
+                            .iter()
+                            .map(Tuple::provenance)
+                            .collect()
+                    };
+                    assert!(!x.is_empty());
+                    assert_eq!(prov(x), prov(y));
+                }
+                (AccessModule::Remote(x), AccessModule::Remote(y)) => {
+                    assert!(x.remote_probes() > 0 && x.cache_hits() > 0);
+                    assert_eq!(x.cache_hits(), y.cache_hits());
+                    assert_eq!(x.remote_probes(), y.remote_probes());
+                }
+                _ => panic!("twins differ in module kinds"),
+            }
+        }
     }
 
     #[test]

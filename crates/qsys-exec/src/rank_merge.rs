@@ -33,6 +33,24 @@ use qsys_query::ScoreFn;
 use qsys_types::{CqId, RelId, Score, Tuple, UqId, UserId};
 use std::collections::HashMap;
 
+/// Read access to the current raw-product bound of each stream leaf, by
+/// node id; a node without a recorded bound reads 0.0 (exhausted). The
+/// plan graph's dense [`BoundTable`](crate::graph::BoundTable) is the
+/// executor's implementation; a `HashMap` (as returned by
+/// [`QueryPlanGraph::stream_bounds`](crate::QueryPlanGraph::stream_bounds))
+/// serves tests and tools.
+pub trait StreamBounds {
+    /// The bound of stream leaf `node`.
+    fn bound(&self, node: NodeId) -> f64;
+}
+
+impl StreamBounds for HashMap<NodeId, f64> {
+    #[inline]
+    fn bound(&self, node: NodeId) -> f64 {
+        self.get(&node).copied().unwrap_or(0.0)
+    }
+}
+
 /// Registration of one conjunctive query with a rank-merge operator.
 #[derive(Debug, Clone)]
 pub struct CqRegistration {
@@ -91,7 +109,7 @@ struct CqState {
 
 impl CqState {
     /// Current TA threshold given per-node stream bounds.
-    fn threshold(&self, bounds: &HashMap<NodeId, f64>) -> f64 {
+    fn threshold(&self, bounds: &impl StreamBounds) -> f64 {
         if self.u_run == 0.0 {
             return 0.0;
         }
@@ -100,18 +118,18 @@ impl CqState {
             if s.max_bound <= 0.0 {
                 continue;
             }
-            let b = bounds.get(&s.node).copied().unwrap_or(0.0);
+            let b = bounds.bound(s.node);
             best = best.max(b / s.max_bound);
         }
         self.u_run * best.min(1.0)
     }
 
     /// Whether every streaming input is exhausted.
-    fn exhausted(&self, bounds: &HashMap<NodeId, f64>) -> bool {
+    fn exhausted(&self, bounds: &impl StreamBounds) -> bool {
         self.reg
             .streaming
             .iter()
-            .all(|s| bounds.get(&s.node).copied().unwrap_or(0.0) <= 0.0)
+            .all(|s| bounds.bound(s.node) <= 0.0)
     }
 }
 
@@ -258,7 +276,7 @@ impl RankMerge {
 
     /// The highest score any not-yet-seen result could achieve: active CQs
     /// contribute their TA threshold, inactive ones their full `U_run`.
-    pub fn overall_threshold(&self, bounds: &HashMap<NodeId, f64>) -> f64 {
+    pub fn overall_threshold(&self, bounds: &impl StreamBounds) -> f64 {
         self.cqs
             .iter()
             .map(|s| {
@@ -275,7 +293,7 @@ impl RankMerge {
     /// every candidate provably in the top-k, prune CQs that can no longer
     /// contribute, and update the done flag. Returns the number of results
     /// emitted during this call.
-    pub fn maintain(&mut self, bounds: &HashMap<NodeId, f64>, now_us: u64) -> usize {
+    pub fn maintain(&mut self, bounds: &impl StreamBounds, now_us: u64) -> usize {
         let mut emitted_now = 0;
         loop {
             if self.emitted.len() >= self.k {
@@ -359,7 +377,7 @@ impl RankMerge {
     /// Deactivate CQs whose threshold falls below the k-th pending
     /// candidate — they "may no longer be able to contribute to top-k
     /// results" (Section 3).
-    fn prune(&mut self, bounds: &HashMap<NodeId, f64>) {
+    fn prune(&mut self, bounds: &impl StreamBounds) {
         let need = self.k.saturating_sub(self.emitted.len());
         if need == 0 || self.candidates.len() < need {
             return;
@@ -378,7 +396,7 @@ impl RankMerge {
     /// Choose the next stream to read: for the active, unpruned CQ with the
     /// highest threshold, the streaming input defining that threshold
     /// (reading it drops the threshold the most).
-    pub fn choose_read(&self, bounds: &HashMap<NodeId, f64>) -> Option<NodeId> {
+    pub fn choose_read(&self, bounds: &impl StreamBounds) -> Option<NodeId> {
         let mut best: Option<(f64, NodeId)> = None;
         for s in &self.cqs {
             if !s.active || s.pruned {
@@ -394,7 +412,7 @@ impl RankMerge {
                 if inp.max_bound <= 0.0 {
                     continue;
                 }
-                let b = bounds.get(&inp.node).copied().unwrap_or(0.0);
+                let b = bounds.bound(inp.node);
                 if b <= 0.0 {
                     continue;
                 }

@@ -8,7 +8,9 @@
 //! - the simulated wide-area clock and time accounting ([`clock`]),
 //! - deterministic random distributions (Zipf, Poisson) used by both the
 //!   source simulator and the workload generators ([`dist`]),
-//! - the common error type ([`error`]).
+//! - the common error type ([`error`]),
+//! - a fast non-cryptographic hasher for hot in-memory tables
+//!   ([`fxhash`]).
 //!
 //! Everything here is deliberately free of query-processing logic; it exists
 //! so that the catalog, source, query, execution, and optimizer crates can
@@ -17,6 +19,7 @@
 pub mod clock;
 pub mod dist;
 pub mod error;
+pub mod fxhash;
 pub mod ids;
 pub mod predicate;
 pub mod score;
@@ -25,6 +28,7 @@ pub mod value;
 
 pub use clock::{CostProfile, SimClock, TimeBreakdown, TimeCategory};
 pub use error::{QsysError, QsysResult};
+pub use fxhash::FxHashMap;
 pub use ids::{AtomId, CqId, Epoch, RelId, SourceId, UqId, UserId};
 pub use predicate::Selection;
 pub use score::Score;

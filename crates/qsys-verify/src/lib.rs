@@ -23,7 +23,7 @@
 //! paths, …) without network access or compiler plugins.
 
 use qsys_exec::access::ModuleId;
-use qsys_exec::{NodeKind, QueryPlanGraph};
+use qsys_exec::{NodeId, NodeKind, QueryPlanGraph};
 use qsys_opt::adaptive::{ObservedCard, ObservedStats};
 use qsys_opt::warm::{WarmExport, MAX_PLANS};
 use qsys_query::{CqSet, SigId, SigInterner, SubExprSig};
@@ -54,6 +54,10 @@ pub enum ViolationClass {
     /// Plan-graph structure broken: asymmetric edges, dead endpoints,
     /// duplicated or out-of-range m-join input indices.
     GraphMalformed,
+    /// The plan graph's bound table disagrees with a live stream leaf's
+    /// effective bound, or holds a nonzero bound for any other node (a
+    /// leaf changed without the table, so the ATC reads a stale bound).
+    StaleBound,
     /// A registered rank-merge binding names a dead or non-rank-merge
     /// node — the orphan-leaf bug class (results would feed nothing).
     OrphanLeaf,
@@ -545,10 +549,11 @@ pub fn verify_shards(
 
 /// Check plan-graph well-formedness: edge symmetry between producers and
 /// consumers, live endpoints, m-join input-index sanity, a truthful reuse
-/// index, and — the arena contract — every live module slot's refcount
-/// equal to its graph residency (m-join inputs naming it) plus the
-/// caller-supplied external registrations (the QS manager's shared
-/// probe-cache table holds one reference per entry).
+/// index, a bound table in step with the stream leaves, and — the arena
+/// contract — every live module slot's refcount equal to its graph
+/// residency (m-join inputs naming it) plus the caller-supplied external
+/// registrations (the QS manager's shared probe-cache table holds one
+/// reference per entry).
 pub fn verify_graph(
     graph: &QueryPlanGraph,
     external_module_refs: &[ModuleId],
@@ -664,6 +669,27 @@ pub fn verify_graph(
                 format!("points at {node_id}, which carries {:?}", node.sig),
             )),
             Some(_) => {}
+        }
+    }
+    // The bound table: each live leaf's effective bound, 0.0 elsewhere.
+    let table = graph.bound_table();
+    let slots = table
+        .as_slice()
+        .len()
+        .max(graph.node_ids().map(|id| id.index() + 1).max().unwrap_or(0));
+    for idx in 0..slots {
+        let id = NodeId(idx as u32);
+        let want = match graph.try_node(id).map(|n| &n.kind) {
+            Some(NodeKind::Stream(leaf)) => leaf.effective_bound(),
+            _ => 0.0,
+        };
+        let got = table.get(id);
+        if got != want {
+            out.push(Violation::new(
+                ViolationClass::StaleBound,
+                format!("{path}/bounds[{id}]"),
+                format!("table reads {got}, the node's bound is {want}"),
+            ));
         }
     }
     out

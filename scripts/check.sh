@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# The repo's merge gate: formatting, lints (deny warnings), and tests.
+# The repo's merge gate: formatting, lints (deny warnings), a type check of
+# the benchmark package, and tests.
 # CI runs exactly this script; run it locally before pushing.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> qsys-lint (repo-law lint: env reads, Send cells, panic paths, SeqCst, bench clocks)"
 cargo run -q -p qsys-verify --bin qsys-lint
+
+echo "==> cargo check perfbench (the benchmark builds against the public crate APIs)"
+cargo check --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q

@@ -998,9 +998,15 @@ impl Engine {
 
     /// Run sealed batches: one per lane (`drain = false`) or every queued
     /// batch (`drain = true`). Lanes share no mutable state, so lanes with
-    /// work run concurrently on scoped worker threads; all published
+    /// work run concurrently: the calling thread runs the first ready lane
+    /// and `lane_threads − 1` scoped helpers take the rest. All published
     /// quantities are per-lane or per-query, keeping results bit-identical
     /// to sequential execution.
+    ///
+    /// Keeping the calling thread busy is also a memory measure: glibc
+    /// gives each new thread its own malloc arena, and a lane run on a
+    /// fresh helper in every step leaves its peak allocations in a
+    /// different arena each time, growing the resident set step by step.
     fn dispatch(&mut self, drain: bool) -> usize {
         let catalog = &self.catalog;
         let config = &self.config;
@@ -1063,28 +1069,36 @@ impl Engine {
         }
 
         // Work queue: each entry hands exactly one worker exclusive
-        // `&mut LaneSlot` access; no ordering is imposed on the workers and
-        // none is needed — lanes are fully independent.
+        // `&mut LaneSlot` access; beyond the calling thread taking the
+        // first lane, no ordering is imposed on the workers and none is
+        // needed — lanes are fully independent.
         let queue: Vec<Mutex<Option<(usize, &mut LaneSlot)>>> =
             jobs.into_iter().map(|job| Mutex::new(Some(job))).collect();
         let ran = AtomicUsize::new(0);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= queue.len() {
-                        break;
-                    }
-                    let (idx, slot) = queue[i]
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .take()
-                        // lint:allow(panic-path): the atomic cursor hands each queue index to exactly one worker
-                        .expect("each job is taken once");
-                    ran.fetch_add(run_slot(idx, slot), Ordering::Relaxed);
-                });
+        let next = AtomicUsize::new(1);
+        let take = |i: usize| {
+            queue[i]
+                .lock()
+                .unwrap_or_else(|e| e.into_inner())
+                .take()
+                // lint:allow(panic-path): the caller takes index 0 and the atomic cursor hands every later index to exactly one worker
+                .expect("each job is taken once")
+        };
+        let work = || loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            if i >= queue.len() {
+                break;
             }
+            let (idx, slot) = take(i);
+            ran.fetch_add(run_slot(idx, slot), Ordering::Relaxed);
+        };
+        std::thread::scope(|scope| {
+            for _ in 1..threads {
+                scope.spawn(work);
+            }
+            let (idx, slot) = take(0);
+            ran.fetch_add(run_slot(idx, slot), Ordering::Relaxed);
+            work();
         });
         ran.into_inner()
     }

@@ -3,7 +3,8 @@
 //! - the pipelined engine's top-k equals the brute-force top-k on random
 //!   database instances;
 //! - the m-join produces exactly the batch join, under any arrival
-//!   interleaving;
+//!   interleaving, and without a consumer does the same work but builds
+//!   nothing;
 //! - a warm (two-session) execution returns exactly what a cold execution
 //!   returns — RecoverState loses nothing and duplicates nothing;
 //! - score upper bounds really bound every emitted result.
@@ -205,14 +206,15 @@ proptest! {
         }
     }
 
-    /// The m-join emits exactly the batch join under any interleaving.
+    /// The m-join emits exactly the batch join under any interleaving; a
+    /// consumer-less twin fed the same arrivals builds nothing but stores,
+    /// probes and charges exactly the same.
     #[test]
     fn mjoin_equals_batch_join(
         a in rel_data(20, 5),
         b in rel_data(20, 5),
         seed in 0u64..1000,
     ) {
-        let mut modules = AccessModuleArena::new();
         let stored = |rel: u32, modules: &mut AccessModuleArena| MJoinInput {
             rels: vec![RelId::new(rel)],
             module: modules.alloc(AccessModule::Stored(StoredModule::new([]))),
@@ -220,18 +222,23 @@ proptest! {
             store_arrivals: true,
             selection: None,
         };
-        let inputs = vec![stored(0, &mut modules), stored(1, &mut modules)];
-        let mut mj = MJoin::new(
-            inputs,
-            vec![JoinPred {
-                left_rel: RelId::new(0),
-                left_col: 0,
-                right_rel: RelId::new(1),
-                right_col: 0,
-            }],
-            &modules,
-        );
-        let sources = Sources::new(SimClock::new(), CostProfile::default(), 0);
+        let build = || {
+            let mut modules = AccessModuleArena::new();
+            let inputs = vec![stored(0, &mut modules), stored(1, &mut modules)];
+            let mj = MJoin::new(
+                inputs,
+                vec![JoinPred {
+                    left_rel: RelId::new(0),
+                    left_col: 0,
+                    right_rel: RelId::new(1),
+                    right_col: 0,
+                }],
+                &modules,
+            );
+            (modules, mj, Sources::new(SimClock::new(), CostProfile::default(), 0))
+        };
+        let (modules, mut mj, sources) = build();
+        let (twin_modules, mut twin, twin_sources) = build();
         // Deterministic interleaving from the seed.
         let mut order: Vec<(usize, Tuple)> = Vec::new();
         for (i, (k, s)) in a.rows.iter().enumerate() {
@@ -251,8 +258,24 @@ proptest! {
         }
         let mut produced = Vec::new();
         for (input, t) in order {
+            let none = twin.insert_governed(
+                input, t.clone(), Epoch(0), &twin_sources, None, &twin_modules, false);
+            prop_assert!(none.is_empty());
             produced.extend(mj.insert(input, t, Epoch(0), &sources, &modules));
         }
+        prop_assert_eq!(sources.clock().breakdown(), twin_sources.clock().breakdown());
+        prop_assert_eq!(mj.probe_counts(), twin.probe_counts());
+        prop_assert_eq!(mj.observed_selectivities(), twin.observed_selectivities());
+        let stored_len = |modules: &AccessModuleArena, mj: &MJoin| -> Vec<usize> {
+            mj.inputs()
+                .iter()
+                .map(|i| match &*modules.module(i.module).unwrap().borrow() {
+                    AccessModule::Stored(s) => s.len(),
+                    AccessModule::Remote(_) => 0,
+                })
+                .collect()
+        };
+        prop_assert_eq!(stored_len(&modules, &mj), stored_len(&twin_modules, &twin));
         let expected: usize = a.rows.iter().map(|(ka, _)| {
             b.rows.iter().filter(|(kb, _)| ka == kb).count()
         }).sum();

@@ -5,10 +5,10 @@
 //! 1. **Seeded corruption, one per invariant family** — build a structure
 //!    that verifies clean, apply exactly one class of damage (a cycle
 //!    edge, a refcount skew, an overlapping shard split, a stale warm
-//!    closure, a cross-section snapshot dangler), and require that the
-//!    verifier reports *that* class and nothing else. A verifier that
-//!    misses the damage is useless; one that mislabels it sends whoever
-//!    reads the report to the wrong subsystem.
+//!    closure, a cross-section snapshot dangler, a stale stream bound),
+//!    and require that the verifier reports *that* class and nothing
+//!    else. A verifier that misses the damage is useless; one that
+//!    mislabels it sends whoever reads the report to the wrong subsystem.
 //! 2. **Clean passes** — the standard GUS seeds driven through every
 //!    arm whose machinery the phase hooks guard (parallel lanes, shard
 //!    splits, fault quarantine, mid-flight replans) must produce zero
@@ -23,13 +23,15 @@ use qsys::verify as qv;
 use qsys_exec::access::{AccessModule, StoredModule};
 use qsys_exec::graph::QueryPlanGraph;
 use qsys_exec::mjoin::{MJoin, MJoinInput};
+use qsys_exec::{NodeKind, StreamBacking};
 use qsys_opt::adaptive::ObservedCard;
 use qsys_opt::warm::{WarmExport, WarmPlan};
 use qsys_opt::OptStats;
 use qsys_query::{CqIdx, CqSet, SigId, SigInterner, SubExprSig};
 use qsys_snapshot::{LaneImage, SnapshotImage};
-use qsys_types::RelId;
+use qsys_types::{BaseTuple, RelId, Tuple};
 use qsys_workload::gus::{self, GusConfig};
+use std::sync::Arc;
 
 /// A leaf signature over the given relations (sorted, no joins).
 fn sig(rels: &[u32]) -> SubExprSig {
@@ -109,6 +111,33 @@ proptest! {
         for class in classes(&violations) {
             prop_assert_eq!(class, ViolationClass::RefcountSkew);
         }
+    }
+
+    /// Corruption class 2b: a stream leaf changed behind the plan graph's
+    /// back — quarantined through `node_mut`, bypassing the bound table —
+    /// leaves the ATC reading a stale bound, reported as `StaleBound` on
+    /// exactly that leaf.
+    #[test]
+    fn stale_bound_is_caught(n in 1usize..6, victim in 0usize..6, pct in 1u32..100) {
+        let mut graph = QueryPlanGraph::new();
+        let leaves: Vec<_> = (0..n as u32)
+            .map(|i| {
+                let row = BaseTuple::new(RelId::new(i), 0, Vec::new(), f64::from(pct) / 100.0);
+                let backing = StreamBacking::Replay {
+                    tuples: vec![Tuple::single(Arc::new(row))],
+                    pos: 0,
+                };
+                graph.add_stream(backing, None)
+            })
+            .collect();
+        prop_assert!(qv::verify_graph(&graph, &[], "t").is_empty());
+        let leaf = leaves[victim % n];
+        if let NodeKind::Stream(l) = &mut graph.node_mut(leaf).kind {
+            l.quarantined = true;
+        }
+        let violations = qv::verify_graph(&graph, &[], "t");
+        prop_assert_eq!(classes(&violations), vec![ViolationClass::StaleBound]);
+        prop_assert!(violations[0].path.contains(&format!("bounds[{leaf}]")));
     }
 
     /// Corruption class 3: two shards of one cluster claiming the same
