@@ -9,15 +9,12 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsys::generate_user_queries;
-use qsys::opt::{Optimizer, OptimizerConfig};
-use qsys::query::{ConjunctiveQuery, ScoreFn};
+use qsys::opt::Optimizer;
 use qsys::state::QsManager;
 use qsys::SharingMode;
-use qsys_bench::{gus_engine, optimize_decision_stream};
+use qsys_bench::{batch_of, gus_engine, optimize_decision_stream, Batch};
 use qsys_workload::gus::{self, GusConfig};
 use std::hint::black_box;
-
-type Batch<'a> = Vec<(&'a ConjunctiveQuery, &'a ScoreFn)>;
 
 fn bench_warm_opt(c: &mut Criterion) {
     let mut group = c.benchmark_group("warm_opt");
@@ -28,29 +25,17 @@ fn bench_warm_opt(c: &mut Criterion) {
         let workload = gus::generate(&cfg);
         let engine = gus_engine(SharingMode::AtcFull, 5);
         let (uqs, _) = generate_user_queries(&workload, &engine).expect("generates");
-        let batches: Vec<Batch> = uqs
-            .chunks(5)
-            .map(|chunk| {
-                chunk
-                    .iter()
-                    .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                    .collect()
-            })
-            .collect();
-        let opt_config = OptimizerConfig {
-            k: engine.k,
-            heuristics: engine.heuristics.clone(),
-            cost_profile: engine.cost_profile,
-            share_subexpressions: true,
-            ..OptimizerConfig::default()
-        };
+        let batches: Vec<Batch> = uqs.chunks(5).map(batch_of).collect();
+        let opt_config = engine.optimizer_config(true);
         let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
 
         // One full pass per arm through the shared identity harness,
         // compared batch by batch: the warm store must never change a
         // decision or a statistic.
-        let warm_rows = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
-        let cold_rows = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
+        let (_, warm_rows) =
+            optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
+        let (_, cold_rows) =
+            optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
         for (w, c) in warm_rows.iter().zip(cold_rows.iter()) {
             assert_eq!(
                 w.decisions(),

@@ -7,36 +7,47 @@
 //! ```
 //!
 //! Experiments: `table4 fig7 fig8 fig9 fig10 fig11 fig12`
-//! Ablations:   `ablation-atc ablation-recovery ablation-eviction`
-//! Restart:     `restart [--out BENCH_6.json] [--check] [--iters N]` —
-//! warm-state persistence sweep: cold vs warm-in-process vs
-//! warm-from-snapshot optimize time for a recurring batch, snapshot
-//! size/write/load cost, and a full engine restart, gated on decision
-//! identity. `restart --phase prime --dir D` then `--phase reload --dir D`
-//! split the restart across two OS processes (the CI smoke).
-//! Chaos:       `chaos [--out BENCH_5.json]` — fault-rate sweep (0 / 1% / 5%
-//! transient, plus one hard outage) over the fault-injection layer: degraded
-//! and failed ticket counts, retries, breaker trips, and p50/p99 response,
-//! gated on "no tuple loss on unfaulted relations".
-//! Sharding:    `shard [--out BENCH_7.json] [--check]` — oversized-cluster
-//! sharding sweep (unsharded vs shard caps 2 / 4 / 8): per-lane walls,
-//! Σ/max balance, and the parallel speedup bound before/after, gated on
-//! per-UQ answer-multiset identity with the unsharded run.
-//! Adaptive:    `adaptive [--out BENCH_8.json] [--check]` — mid-flight
-//! re-optimization sweep (static vs drift thresholds 1.25 / 1.5 / 2.0 on a
-//! drift-heavy catalog): mean/p99 response, drift checks, replans, and
-//! corrected cardinalities, gated on per-UQ answer-multiset identity with
-//! the static run (`--check` also requires ≥1 replan and an improvement).
-//! Verify:      `verify [--dir D]` — invariant audit: run the standard GUS
-//! seeds through the default ATC-CL arm at 1 and 4 lane threads plus one
-//! sharded, one chaos, and one adaptive arm, run the `qsys-verify` checker
-//! over every live engine, and round-trip each engine's snapshot through
-//! disk and re-verify the decoded image. Exits 1 on any violation.
-//! Sweeps:      `fetch-batch [--batches 1,8,32] [--limit N]` — response-time
-//! shift from stream fetch-ahead on the figure workload (the ROADMAP's
-//! "quantify what fetch_batch buys" item; recorded in `BENCH_4.json`).
-//! Perf:        `bench [--iters N] [--baseline FILE] [--out FILE]` — measure
-//! the optimizer+graft hot path, end-to-end throughput, and the
+//! Ablations:   `ablation-atc ablation-recovery ablation-eviction ablation-probe-cache`
+//!
+//! Sweeps: `chaos`, `shard`, `adaptive`, `restart`, `verify` and
+//! `fetch-batch` each run a list of named arms and gate them. The
+//! session-driven arms share one runner (`qsys::drive_session` under each
+//! arm's config, arm 0 the baseline), and every sweep returns the same
+//! `Sweep` of rows — label, ordered `(metric, value)` pairs, gate
+//! violations. One printer renders it as the stdout table and one
+//! emitter writes it to `--out FILE` in the one schema
+//! `{bench, gate, gate_ok, params, arms: [{arm, metrics, gate_violations}]}`.
+//! A sweep exits 1 when any arm violates its gate.
+//!
+//! - `chaos` — fault-free vs 1% / 5% transient errors vs a hard outage of
+//!   one relation. Gate: `Complete` answers equal the fault-free run in
+//!   returned order, and non-readers of the outaged relation stay
+//!   `Complete`.
+//! - `shard [--check]` — unsharded vs shard caps 2 / 4 / 8 on the ATC-CL
+//!   reference workload. Gate: tie-aware answer identity at every cap;
+//!   `--check` also requires that sharding does not lower the Σ/max
+//!   speedup bound.
+//! - `adaptive [--check]` — static vs drift thresholds 1.25 / 1.5 / 2.0 on
+//!   a drift-heavy catalog. Gate: tie-aware answer identity; `--check`
+//!   also requires at least one replan and a best mean response below the
+//!   static one.
+//! - `restart [--iters N]` — cold vs warm-in-process vs warm-from-snapshot
+//!   optimize time for a recurring batch, plus a full engine restart.
+//!   Gate: identical decisions; the restarted engine rehydrates, replays
+//!   its first batch warm, and is decision-identical to a persistence-off
+//!   run. `restart --phase prime --dir D` then `--phase reload --dir D`
+//!   split the restart across two OS processes: prime must publish a
+//!   snapshot, reload must pass the engine-restart gate.
+//! - `verify [--dir D]` — drive the standard GUS seeds through ATC-CL at 1
+//!   and 4 lane threads plus one sharded, one chaos and one adaptive arm,
+//!   and audit every live engine and its reloaded snapshot. Gate: no
+//!   violation.
+//! - `fetch-batch [--batches 4,8,32] [--limit N]` — stream fetch-ahead at
+//!   each `fetch_batch` against `fetch_batch = 1`. Gate: identical answers
+//!   (tie-aware) and tuples consumed.
+//!
+//! Perf: `bench [--iters N] [--baseline FILE] [--out FILE]` — measure the
+//! optimizer+graft hot path, end-to-end throughput, and the
 //! sequential-vs-threaded multi-cluster ATC-CL comparison, and emit the
 //! repo's `BENCH_*.json` trajectory point (optionally embedding a baseline
 //! snapshot recorded before an optimization landed).
@@ -71,6 +82,8 @@ fn main() {
     if let Some(n) = lane_threads {
         set_lane_threads(n);
     }
+
+    let check = args.iter().any(|a| a == "--check");
 
     println!("# scale: {scale:?} | instance seeds: {seeds:?} | virtual-clock results\n");
     let t0 = std::time::Instant::now();
@@ -193,7 +206,7 @@ fn main() {
             // comparable against a baseline measured on the same machine,
             // so CI — whose baseline file comes from a dev machine —
             // checks decisions only).
-            if args.iter().any(|a| a == "--check") {
+            if check {
                 let Some((_, b)) = &baseline else {
                     eprintln!("--check requires --baseline");
                     std::process::exit(2);
@@ -228,243 +241,54 @@ fn main() {
                 }
             }
         }
-        "chaos" => {
-            // Resilience sweep: fault-free baseline, 1% / 5% transient
-            // error rates, and a hard outage of one relation — with the
-            // "no tuple loss on unfaulted relations" gate. `--out FILE`
-            // writes the BENCH_5.json trajectory point.
-            let sweep = chaos_sweep(seeds[0], scale);
-            print_chaos(&sweep);
-            let json = chaos_json(&sweep);
-            if let Some(path) = flag_value(&args, "--out") {
-                std::fs::write(&path, &json).expect("write chaos output");
-                eprintln!("wrote {path}");
-            }
-            if sweep.arms.iter().any(|a| a.gate_violations > 0) {
-                eprintln!(
-                    "CHECK FAILED: tuple loss on unfaulted relations (degradation must be \
-                     strictly per-query: Complete answers bit-identical to the fault-free \
-                     run, non-readers of the outaged relation untouched)"
-                );
-                std::process::exit(1);
-            }
-            eprintln!("gate ok: no tuple loss on unfaulted relations");
-        }
-        "shard" => {
-            // Lane-sharding sweep: the unsharded ATC-CL reference run
-            // against shard caps 2 / 4 / 8 at a one-UQ-equivalent
-            // threshold, gated on per-UQ answer-multiset identity.
-            // `--out FILE` writes the BENCH_7.json trajectory point;
-            // `--check` additionally requires the balance improvement.
-            let sweep = shard_sweep();
-            print_shard(&sweep);
-            let json = shard_json(&sweep);
-            if let Some(path) = flag_value(&args, "--out") {
-                std::fs::write(&path, &json).expect("write shard output");
-                eprintln!("wrote {path}");
-            }
-            if sweep.arms.iter().any(|a| a.gate_violations > 0) {
-                eprintln!(
-                    "CHECK FAILED: sharding changed answers (the split is a physical \
-                     routing decision; per-UQ result multisets must be identical to \
-                     the unsharded run at every shard cap)"
-                );
-                std::process::exit(1);
-            }
-            if args.iter().any(|a| a == "--check") && sweep.bound_sharded < sweep.bound_unsharded {
-                eprintln!(
-                    "CHECK FAILED: sharding worsened the speedup bound ({:.2}x -> {:.2}x); \
-                     splitting oversized clusters must not concentrate work further",
-                    sweep.bound_unsharded, sweep.bound_sharded
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "gate ok: answer multisets identical at every shard cap \
-                 (speedup bound {:.2}x -> {:.2}x)",
-                sweep.bound_unsharded, sweep.bound_sharded
-            );
-        }
-        "adaptive" => {
-            // Adaptive re-optimization sweep: static plans vs mid-flight
-            // re-planning at drift thresholds 1.25 / 1.5 / 2.0 on a
-            // drift-heavy workload (catalog priors skewed well below the
-            // true cardinalities), gated on per-UQ answer-multiset
-            // identity with the static run. `--out FILE` writes the
-            // BENCH_8.json trajectory point; `--check` additionally
-            // requires at least one mid-batch replan and a mean-response
-            // improvement. Runs the fixed drift-regime instance
-            // (`ADAPTIVE_SEED`) rather than `--seeds`: the sweep needs an
-            // instance where the skewed priors genuinely mislead the
-            // plan search, and most small instances are insensitive.
-            let sweep = adaptive_sweep(ADAPTIVE_SEED);
-            print_adaptive(&sweep);
-            let json = adaptive_json(&sweep);
-            if let Some(path) = flag_value(&args, "--out") {
-                std::fs::write(&path, &json).expect("write adaptive output");
-                eprintln!("wrote {path}");
-            }
-            if sweep.arms.iter().any(|a| a.gate_violations > 0) {
-                eprintln!(
-                    "CHECK FAILED: adaptive re-planning changed answers (a replan is a \
-                     physical decision; per-UQ result multisets must be identical to \
-                     the static run at every drift threshold)"
-                );
-                std::process::exit(1);
-            }
-            if args.iter().any(|a| a == "--check") {
-                if sweep.total_replans() == 0 {
-                    eprintln!(
-                        "CHECK FAILED: no adaptive arm performed a mid-batch replan \
-                         on the drift-heavy workload (the feedback loop never fired)"
-                    );
-                    std::process::exit(1);
-                }
-                if sweep.mean_best_us() >= sweep.mean_static_us() {
-                    eprintln!(
-                        "CHECK FAILED: adaptive re-planning did not improve mean response \
-                         ({:.1}us static vs {:.1}us best adaptive)",
-                        sweep.mean_static_us(),
-                        sweep.mean_best_us()
-                    );
-                    std::process::exit(1);
-                }
-            }
-            eprintln!(
-                "gate ok: answer multisets identical at every drift threshold \
-                 (mean response {:.1}us static -> {:.1}us best adaptive, {} replans)",
-                sweep.mean_static_us(),
-                sweep.mean_best_us(),
-                sweep.total_replans()
-            );
-        }
-        "restart" => {
-            // Warm-state persistence sweep: cold vs warm-in-process vs
-            // warm-from-snapshot optimize time for a recurring batch, plus
-            // a full engine restart. `--out FILE` writes the BENCH_6.json
-            // trajectory point; `--check` gates on decision identity.
-            //
+        // The sweeps: each returns one `Sweep` (named arms, one row type),
+        // printed as a table, optionally written as JSON with `--out FILE`,
+        // and exit 1 when any arm violates the sweep's gate.
+        "chaos" => finish(&chaos_sweep(seeds[0], scale), &args),
+        "shard" => finish(&shard_sweep(check), &args),
+        // Runs the fixed drift-regime instance (`ADAPTIVE_SEED`) rather
+        // than `--seeds`: the sweep needs an instance where the skewed
+        // priors genuinely mislead the plan search, and most small
+        // instances are insensitive.
+        "adaptive" => finish(&adaptive_sweep(ADAPTIVE_SEED, check), &args),
+        "restart" => match flag_value(&args, "--phase").as_deref() {
             // `--phase prime --dir D` / `--phase reload --dir D` split the
-            // restart across two *processes* (the CI smoke): prime runs
-            // with persistence rooted at D and exits; reload starts from
-            // nothing but D's snapshot file and self-gates.
-            match flag_value(&args, "--phase").as_deref() {
-                Some(phase @ ("prime" | "reload")) => {
-                    let Some(dir) = flag_value(&args, "--dir") else {
-                        eprintln!("--phase requires --dir DIR (shared across both phases)");
-                        std::process::exit(2);
-                    };
-                    let dir = std::path::PathBuf::from(dir);
-                    std::fs::create_dir_all(&dir).expect("create snapshot dir");
-                    let reload = phase == "reload";
-                    let p = restart_phase(seeds[0], scale, &dir, reload);
-                    println!(
-                        "phase {phase}: snapshot_writes={} bytes_on_disk={} loaded={} \
-                         lanes_loaded={} first_batch_warm_hits={}",
-                        p.writes,
-                        p.bytes_on_disk,
-                        p.loaded,
-                        p.lanes_loaded,
-                        p.first_batch_warm_hits
-                    );
-                    if !reload {
-                        if p.writes == 0 || p.bytes_on_disk == 0 {
-                            eprintln!("CHECK FAILED: priming run published no snapshot");
-                            std::process::exit(1);
-                        }
-                        eprintln!("prime ok: snapshot published for the reload phase");
-                    } else {
-                        if !p.loaded {
-                            eprintln!(
-                                "CHECK FAILED: restarted process did not rehydrate from the \
-                                 snapshot ({})",
-                                p.reason.as_deref().unwrap_or("no reason recorded")
-                            );
-                            std::process::exit(1);
-                        }
-                        if p.first_batch_warm_hits == 0 {
-                            eprintln!(
-                                "CHECK FAILED: first post-restart batch did not replay the \
-                                 warm plan (restart must skip the cold search)"
-                            );
-                            std::process::exit(1);
-                        }
-                        if !p.identical {
-                            eprintln!(
-                                "CHECK FAILED: restarted run diverged from a cold run \
-                                 (rehydrated warm state must be decision-invisible)"
-                            );
-                            std::process::exit(1);
-                        }
-                        eprintln!(
-                            "reload ok: rehydrated warm, first batch replayed, decisions \
-                             identical to cold"
-                        );
-                    }
-                }
-                Some(other) => {
-                    eprintln!("unknown --phase '{other}' (choose: prime reload)");
+            // restart across two *processes*: prime runs with persistence
+            // rooted at D and exits; reload starts from nothing but D's
+            // snapshot file.
+            Some(phase @ ("prime" | "reload")) => {
+                let Some(dir) = flag_value(&args, "--dir") else {
+                    eprintln!("--phase requires --dir DIR (shared across both phases)");
                     std::process::exit(2);
-                }
-                None => {
-                    let iters: usize = flag_value(&args, "--iters")
-                        .and_then(|s| s.parse().ok())
-                        .unwrap_or(10);
-                    let sweep = restart_sweep(seeds[0], scale, iters);
-                    print_restart(&sweep);
-                    let json = restart_json(&sweep);
-                    if let Some(path) = flag_value(&args, "--out") {
-                        std::fs::write(&path, &json).expect("write restart output");
-                        eprintln!("wrote {path}");
-                    }
-                    let ok = sweep.identical
-                        && sweep.engine.loaded
-                        && sweep.engine.identical
-                        && sweep.engine.first_batch_warm_hits > 0;
-                    if !ok {
-                        eprintln!(
-                            "CHECK FAILED: restart sweep gate (decisions_identical={} \
-                             engine.loaded={} engine.identical={} first_batch_warm_hits={}) — \
-                             warm state is a cache; persisting it must never change a decision",
-                            sweep.identical,
-                            sweep.engine.loaded,
-                            sweep.engine.identical,
-                            sweep.engine.first_batch_warm_hits
-                        );
-                        std::process::exit(1);
-                    }
-                    eprintln!(
-                        "gate ok: decisions identical cold/warm/snapshot and across an \
-                         engine restart"
-                    );
-                }
+                };
+                let dir = std::path::PathBuf::from(dir);
+                std::fs::create_dir_all(&dir).expect("create snapshot dir");
+                finish(
+                    &restart_phase(seeds[0], scale, &dir, phase == "reload"),
+                    &args,
+                );
             }
-        }
+            Some(other) => {
+                eprintln!("unknown --phase '{other}' (choose: prime reload)");
+                std::process::exit(2);
+            }
+            None => {
+                let iters: usize = flag_value(&args, "--iters")
+                    .and_then(|s| s.parse().ok())
+                    .unwrap_or(10);
+                finish(&restart_sweep(seeds[0], scale, iters), &args);
+            }
+        },
         "verify" => {
-            // Invariant audit: every arm runs clean through the
-            // whole-system verifier, live and after a snapshot round
-            // trip. `--dir D` roots the snapshot scratch space (default:
-            // a per-process directory under the system temp dir).
+            // `--dir D` roots the snapshot scratch space (default: a
+            // per-process directory under the system temp dir).
             let dir = flag_value(&args, "--dir")
                 .map(std::path::PathBuf::from)
                 .unwrap_or_else(|| {
                     std::env::temp_dir().join(format!("qsys-verify-{}", std::process::id()))
                 });
             std::fs::create_dir_all(&dir).expect("create verify scratch dir");
-            let audit = verify_audit(&seeds, scale, &dir);
-            print_verify(&audit);
-            if !audit.is_clean() {
-                eprintln!(
-                    "CHECK FAILED: {} invariant violation(s) — every arm must verify \
-                     clean, live and from its reloaded snapshot",
-                    audit.total_violations()
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "gate ok: {} arms verified clean (live engine state and reloaded snapshots)",
-                audit.arms.len()
-            );
+            finish(&verify_audit(&seeds, scale, &dir), &args);
         }
         "table4" => print_table4(&table4(&seeds, scale)),
         "fig7" => print_fig7(&fig7_runs(&seeds, scale, None)),
@@ -501,8 +325,9 @@ fn main() {
             }
         }
         "fetch-batch" | "sweep-fetch-batch" => {
-            // `--batches 1,8,32` selects the fetch_batch values; `--limit N`
-            // truncates the workload (default: the full 15-UQ script).
+            // `--batches 4,8,32` selects the fetch_batch values besides the
+            // baseline 1; `--limit N` truncates the script (default: the
+            // full 15-UQ script).
             let batches: Vec<usize> = flag_value(&args, "--batches")
                 .map(|s| {
                     s.split(',')
@@ -521,7 +346,7 @@ fn main() {
                     std::process::exit(2);
                 })
             });
-            print_fetch_batch_sweep(&sweep_fetch_batch(seeds[0], scale, &batches, limit));
+            finish(&fetch_batch_sweep(seeds[0], scale, &batches, limit), &args);
         }
         "all" => {
             print_table4(&table4(&seeds, scale));
@@ -567,6 +392,25 @@ fn main() {
         }
     }
     eprintln!("\n[done in {:.1}s wall time]", t0.elapsed().as_secs_f64());
+}
+
+/// Render a sweep: the table to stdout, the JSON to `--out FILE` if
+/// given, and exit 1 when any arm violated the gate.
+fn finish(sweep: &Sweep, args: &[String]) {
+    print!("{}", sweep.table());
+    if let Some(path) = flag_value(args, "--out") {
+        std::fs::write(&path, sweep.to_json()).expect("write sweep output");
+        eprintln!("wrote {path}");
+    }
+    if !sweep.gate_ok() {
+        eprintln!(
+            "CHECK FAILED: {} violation(s) of the gate: {}",
+            sweep.violations(),
+            sweep.gate
+        );
+        std::process::exit(1);
+    }
+    eprintln!("gate ok: {}", sweep.gate);
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {

@@ -3,7 +3,9 @@
 //!
 //! Each `table4` / `fig7` / … function runs the experiment and returns
 //! printable data; the `reproduce` binary is a thin argument parser over
-//! them. All numbers are *simulated* (virtual-clock) quantities — see
+//! them. The gated sweeps (`chaos_sweep`, `shard_sweep`, …) all return a
+//! [`Sweep`] of named arms, rendered by one table printer and one JSON
+//! emitter. All numbers are *simulated* (virtual-clock) quantities — see
 //! DESIGN.md's substitution notes; the claims under reproduction are about
 //! relative behaviour between configurations, not absolute seconds.
 
@@ -12,7 +14,7 @@ use qsys::opt::cost::NoReuse;
 use qsys::opt::{HeuristicConfig, Optimizer, OptimizerConfig};
 use qsys::query::CandidateConfig;
 use qsys::types::SimClock;
-use qsys::{run_workload, EngineConfig, RunReport, SharingMode};
+use qsys::{run_workload, Answers, EngineConfig, RunReport, SharingMode};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::pfam::{self, PfamConfig};
 use qsys_workload::Workload;
@@ -200,68 +202,7 @@ pub struct PerfSnapshot {
     pub stream_rounds: u64,
     /// Fetch-ahead sweep over the figure workload: how response time and
     /// network rounds shift with `CostProfile::fetch_batch`.
-    pub fetch_batch_sweep: Vec<FetchBatchPoint>,
-}
-
-/// One point of the fetch-ahead sweep: the GUS figure workload run with
-/// `CostProfile::fetch_batch` set to `fetch_batch`. Tuple sequences are
-/// provably unchanged by batching (property-tested), so `tuples_consumed`
-/// must agree across points; rounds and response time shift.
-#[derive(Clone, Debug)]
-pub struct FetchBatchPoint {
-    /// `CostProfile::fetch_batch` for this run.
-    pub fetch_batch: usize,
-    /// Mean virtual response time across UQs, µs.
-    pub mean_response_us: f64,
-    /// Simulated stream-read network rounds.
-    pub stream_rounds: u64,
-    /// Input tuples consumed (identical across the sweep).
-    pub tuples_consumed: u64,
-}
-
-/// Run the fetch-ahead sweep: the seed-`seed` GUS workload under ATC-FULL
-/// (optionally truncated to `limit` UQs) at each `fetch_batch` value.
-pub fn sweep_fetch_batch(
-    seed: u64,
-    scale: Scale,
-    batches: &[usize],
-    limit: Option<usize>,
-) -> Vec<FetchBatchPoint> {
-    batches
-        .iter()
-        .map(|&fetch_batch| {
-            let w = gus_workload(seed, scale);
-            let mut engine = gus_engine(SharingMode::AtcFull, 5);
-            engine.cost_profile.fetch_batch = fetch_batch;
-            let r = run_workload(&w, &engine, limit).expect("runs");
-            FetchBatchPoint {
-                fetch_batch,
-                mean_response_us: r.mean_response_us(),
-                stream_rounds: r.stream_rounds,
-                tuples_consumed: r.tuples_consumed,
-            }
-        })
-        .collect()
-}
-
-/// Print the fetch-ahead sweep.
-pub fn print_fetch_batch_sweep(points: &[FetchBatchPoint]) {
-    println!("Fetch-ahead sweep: response-time shift from stream fetch batching");
-    println!(
-        "{:>11} {:>12} {:>12} {:>12} {:>9}",
-        "fetch_batch", "mean resp(s)", "rounds", "tuples", "resp Δ%"
-    );
-    let base = points.first().map(|p| p.mean_response_us).unwrap_or(0.0);
-    for p in points {
-        println!(
-            "{:>11} {:>12.3} {:>12} {:>12} {:>+9.1}",
-            p.fetch_batch,
-            p.mean_response_us / 1e6,
-            p.stream_rounds,
-            p.tuples_consumed,
-            100.0 * (p.mean_response_us - base) / base.max(1e-9),
-        );
-    }
+    pub fetch_batch_sweep: Sweep,
 }
 
 /// One batch's decision fingerprint, as produced by
@@ -284,6 +225,18 @@ pub struct DecisionRow {
 }
 
 impl DecisionRow {
+    /// The fingerprint of one optimize call's output.
+    pub fn new(spec: &qsys::opt::PlanSpec, stats: &qsys::opt::OptStats) -> DecisionRow {
+        DecisionRow {
+            spec_debug: format!("{spec:?}"),
+            explored: stats.explored,
+            memo_hits: stats.memo_hits,
+            candidates: stats.candidates,
+            best_cost_bits: stats.best_cost.to_bits(),
+            warm_hits: stats.warm_hits,
+        }
+    }
+
     /// The decision-relevant fields (everything except `warm_hits`).
     pub fn decisions(&self) -> (&str, usize, usize, usize, u64) {
         (
@@ -301,34 +254,38 @@ impl DecisionRow {
 /// warm-vs-cold identity harness: [`warm_cold_identity`] (the `reproduce
 /// bench` gate) and `bench_warm_opt` (the CI micro-bench smoke) both
 /// compare its warm and cold outputs, so the two gates enforce one
-/// invariant by construction.
+/// invariant by construction. The manager is returned so the restart
+/// sweep can snapshot its warm state.
 pub fn optimize_decision_stream(
     catalog: &qsys::catalog::Catalog,
     opt_config: &OptimizerConfig,
-    batches: &[Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>],
+    batches: &[Batch<'_>],
     warm: bool,
-) -> Vec<DecisionRow> {
-    use qsys::state::QsManager;
-
-    let manager = QsManager::new(usize::MAX);
+) -> (qsys::state::QsManager, Vec<DecisionRow>) {
+    let manager = qsys::state::QsManager::new(usize::MAX);
     let optimizer = Optimizer::new(catalog, opt_config.clone());
     let interner = manager.shared_interner();
     let warm_cell = warm.then(|| manager.warm_cell());
-    batches
+    let rows = batches
         .iter()
         .map(|batch| {
             let oracle = manager.reuse_oracle();
             let (spec, stats) =
                 optimizer.optimize_warm(batch, &oracle, None, &interner, warm_cell.as_deref());
-            DecisionRow {
-                spec_debug: format!("{spec:?}"),
-                explored: stats.explored,
-                memo_hits: stats.memo_hits,
-                candidates: stats.candidates,
-                best_cost_bits: stats.best_cost.to_bits(),
-                warm_hits: stats.warm_hits,
-            }
+            DecisionRow::new(&spec, &stats)
         })
+        .collect();
+    (manager, rows)
+}
+
+/// One optimizer batch: every CQ of some user queries with its score
+/// function.
+pub type Batch<'a> = Vec<(&'a qsys::query::ConjunctiveQuery, &'a qsys::query::ScoreFn)>;
+
+/// The optimizer input for a run of user queries.
+pub fn batch_of(uqs: &[qsys::query::UserQuery]) -> Batch<'_> {
+    uqs.iter()
+        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
         .collect()
 }
 
@@ -350,28 +307,13 @@ pub fn warm_cold_identity() -> WarmCheck {
     let workload = gus_workload(41, Scale::Small);
     let engine = gus_engine(SharingMode::AtcFull, 5);
     let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let opt_config = OptimizerConfig {
-        k: engine.k,
-        heuristics: engine.heuristics.clone(),
-        cost_profile: engine.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
-    let mut batches: Vec<Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>> = uqs
-        .chunks(5)
-        .take(3)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect()
-        })
-        .collect();
+    let opt_config = engine.optimizer_config(true);
+    let mut batches: Vec<Batch> = uqs.chunks(5).take(3).map(batch_of).collect();
     let repeat = batches[0].clone();
     batches.push(repeat);
 
-    let warm_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
-    let cold_side = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
+    let (_, warm_side) = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
+    let (_, cold_side) = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
     let identical = warm_side
         .iter()
         .zip(cold_side.iter())
@@ -429,18 +371,8 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
     let workload = gus_workload(41, Scale::Small);
     let engine = gus_engine(SharingMode::AtcFull, 5);
     let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let batch: Vec<_> = uqs
-        .iter()
-        .take(5)
-        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-        .collect();
-    let opt_config = OptimizerConfig {
-        k: engine.k,
-        heuristics: engine.heuristics.clone(),
-        cost_profile: engine.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
+    let batch = batch_of(&uqs[..uqs.len().min(5)]);
+    let opt_config = engine.optimizer_config(true);
 
     // Cold optimize (fresh manager each cycle) and the graft of its spec.
     let mut optimize_us = 0.0;
@@ -485,10 +417,7 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
         );
         let t0 = Instant::now();
         for chunk in uqs.chunks(5).take(3) {
-            let batch: Vec<_> = chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect();
+            let batch = batch_of(chunk);
             let (spec, _) = {
                 let interner = manager.shared_interner();
                 let oracle = manager.reuse_oracle();
@@ -525,7 +454,7 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
 
     // Fetch-ahead sweep: the response-time shift stream batching buys on
     // the figure workload (10 UQs keep the sweep to seconds).
-    let fetch_batch_sweep = sweep_fetch_batch(41, Scale::Small, &[1, 8, 32], Some(10));
+    let fetch_batch_sweep = fetch_batch_sweep(41, Scale::Small, &[1, 8, 32], Some(10));
 
     // End to end: the full workload under ATC-FULL, wall-clocked.
     let t0 = std::time::Instant::now();
@@ -548,60 +477,14 @@ pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnaps
     let seq_total: u64 = seq.lane_wall_us.iter().sum();
     let seq_max: u64 = seq.lane_wall_us.iter().copied().max().unwrap_or(1);
     let atc_cl_speedup_bound = seq_total as f64 / seq_max.max(1) as f64;
-    let atc_cl_identical = seq.tuples_consumed == par.tuples_consumed
-        && seq.tuples_streamed == par.tuples_streamed
-        && seq.probes == par.probes
-        && seq.per_uq.len() == par.per_uq.len()
-        && seq.per_uq.iter().zip(par.per_uq.iter()).all(|(a, b)| {
-            a.uq == b.uq
-                && a.response_us == b.response_us
-                && a.results == b.results
-                && a.cqs_executed == b.cqs_executed
-                && a.lane == b.lane
-        });
+    let atc_cl_identical = seq.identity_diff(&par).is_none();
 
     // Sessionized-API arm: the same figure workload submitted one query
     // at a time through per-user sessions, stepping after every arrival —
     // the service-shaped drive must reproduce the scripted driver's
     // decisions and statistics bit for bit.
-    let session_api_identical = {
-        let mut session_engine = qsys::Engine::for_workload(&workload, engine.clone());
-        for q in &workload.queries {
-            let mut session = session_engine.session(q.user);
-            if let Some(costs) = &q.edge_costs {
-                session = session.with_edge_costs(costs.clone());
-            }
-            let _ = session.submit(&q.keywords, q.arrival_us);
-            session_engine.step();
-        }
-        session_engine.run_until_idle();
-        let stepped = session_engine.report();
-        stepped.tuples_consumed == report.tuples_consumed
-            && stepped.tuples_streamed == report.tuples_streamed
-            && stepped.probes == report.probes
-            && stepped.breakdown == report.breakdown
-            && stepped.per_uq.len() == report.per_uq.len()
-            && stepped
-                .per_uq
-                .iter()
-                .zip(report.per_uq.iter())
-                .all(|(a, b)| {
-                    a.uq == b.uq
-                        && a.response_us == b.response_us
-                        && a.results == b.results
-                        && a.cqs_executed == b.cqs_executed
-                })
-            && stepped.opt_events.len() == report.opt_events.len()
-            && stepped
-                .opt_events
-                .iter()
-                .zip(report.opt_events.iter())
-                .all(|(a, b)| {
-                    a.batch_cqs == b.batch_cqs
-                        && a.candidates == b.candidates
-                        && a.explored == b.explored
-                })
-    };
+    let (stepped, _) = qsys::drive_session(&workload, engine.clone(), true);
+    let session_api_identical = stepped.report().identity_diff(&report).is_none();
 
     let secs = end_to_end.as_secs_f64().max(1e-9);
     PerfSnapshot {
@@ -657,12 +540,17 @@ impl PerfSnapshot {
         let lane_wall: Vec<String> = self.lane_wall_us.iter().map(u64::to_string).collect();
         let sweep: Vec<String> = self
             .fetch_batch_sweep
+            .arms
             .iter()
-            .map(|p| {
+            .map(|row| {
+                let field = |name| row.get(name).map_or("null".into(), ToString::to_string);
                 format!(
-                    "{{\"fetch_batch\": {}, \"mean_response_us\": {:.1}, \
+                    "{{\"fetch_batch\": {}, \"mean_response_us\": {}, \
                      \"stream_rounds\": {}, \"tuples_consumed\": {}}}",
-                    p.fetch_batch, p.mean_response_us, p.stream_rounds, p.tuples_consumed
+                    field("fetch_batch"),
+                    field("mean_response_us"),
+                    field("stream_rounds"),
+                    field("tuples_consumed")
                 )
             })
             .collect();
@@ -1027,11 +915,7 @@ pub fn fig11(seed: u64, scale: Scale) -> Vec<(usize, usize, u64, u128)> {
     let w = gus_workload(seed, scale);
     let engine = gus_engine(SharingMode::AtcFull, 5);
     let (uqs, _) = qsys::generate_user_queries(&w, &engine).expect("generates");
-    let batch: Vec<_> = uqs
-        .iter()
-        .take(5)
-        .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-        .collect();
+    let batch = batch_of(&uqs[..uqs.len().min(5)]);
     let mut out = Vec::new();
     for cap in 0..=14 {
         let config = OptimizerConfig {
@@ -1238,307 +1122,300 @@ pub fn ablation_eviction(seed: u64, scale: Scale) -> Vec<(String, u64)> {
 }
 
 // ---------------------------------------------------------------------------
-// Chaos sweep: resilience under deterministic fault schedules (BENCH_5.json).
+// Sweeps: named arms, one row type, one table printer and one JSON emitter.
 // ---------------------------------------------------------------------------
 
-/// Per-query outcome + exact answer fingerprint (score bits, tuple text).
-type ChaosAnswers =
-    std::collections::BTreeMap<qsys::types::UqId, (qsys::QueryOutcome, Vec<(u64, String)>)>;
-
-/// One arm of the chaos sweep: a fault schedule, the run's resilience
-/// counters, and its tuple-loss gate result.
-pub struct ChaosArm {
-    /// Arm name ("fault-free", "transient-1pct", …).
-    pub label: &'static str,
-    /// The `QSYS_FAULTS` schedule string (`None` = fault-free baseline).
-    pub spec: Option<String>,
-    /// Full run report (resilience counters under `report.faults`).
-    pub report: RunReport,
-    /// Gate failures: queries that resolved `Complete` with answers
-    /// drifted from the fault-free run, or — for relation-scoped arms —
-    /// degraded/failed without reading the faulted relation.
-    pub gate_violations: usize,
+/// One metric value of a sweep row.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Value {
+    /// An exact count.
+    Int(u64),
+    /// A measured quantity, rendered with this many decimals.
+    Float(f64, usize),
+    /// A yes/no fact.
+    Bool(bool),
 }
 
-/// The full sweep: one fault-free baseline plus transient-rate and
-/// hard-outage arms over the same workload.
-pub struct ChaosSweep {
-    /// The relation the outage arm takes dark at t = 0.
-    pub victim: u32,
-    /// How many of the workload's user queries read the victim.
-    pub victim_readers: usize,
-    /// Arms in sweep order (index 0 is the fault-free baseline).
-    pub arms: Vec<ChaosArm>,
-}
-
-/// Session-driven run capturing per-ticket outcomes and answers (the
-/// scripted driver discards payloads, and the gate needs them).
-fn chaos_run(w: &Workload, spec: Option<&str>) -> (RunReport, ChaosAnswers) {
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.faults = spec.map(|s| qsys::source::FaultSpec::parse(s).expect("valid fault spec"));
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
+impl std::fmt::Display for Value {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Value::Int(v) => write!(f, "{v}"),
+            Value::Float(v, _) if !v.is_finite() => f.write_str("null"),
+            Value::Float(v, decimals) => write!(f, "{v:.decimals$}"),
+            Value::Bool(v) => write!(f, "{v}"),
         }
     }
-    engine.run_until_idle();
-    let answers = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolves every ticket");
-            let tuples = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(s, tu)| (s.get().to_bits(), format!("{tu:?}")))
-                .collect();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), answers)
 }
 
-/// The outage victim: the most-read relation that still has non-readers,
-/// so the arm both bites and leaves bystanders to check.
-fn chaos_victim(w: &Workload) -> (u32, std::collections::BTreeSet<qsys::types::UqId>) {
-    let (uqs, _) = qsys::generate_user_queries(w, &gus_engine(SharingMode::AtcFull, 5))
-        .expect("workload generates");
-    let mut readers: std::collections::BTreeMap<
-        u32,
-        std::collections::BTreeSet<qsys::types::UqId>,
-    > = std::collections::BTreeMap::new();
-    for uq in &uqs {
-        for (cq, _) in &uq.cqs {
-            for rel in cq.rels() {
-                readers.entry(rel.0).or_default().insert(uq.id);
+/// One arm of a sweep: its label, ordered `(metric, value)` pairs, and the
+/// gate violations it produced (empty when the arm passed).
+#[derive(Clone, Debug)]
+pub struct Row {
+    pub arm: String,
+    pub metrics: Vec<(&'static str, Value)>,
+    pub gate_violations: Vec<String>,
+}
+
+impl Row {
+    pub fn new(arm: impl Into<String>) -> Row {
+        Row {
+            arm: arm.into(),
+            metrics: Vec::new(),
+            gate_violations: Vec::new(),
+        }
+    }
+
+    pub fn int(mut self, name: &'static str, value: impl TryInto<u64>) -> Row {
+        let value = value.try_into().unwrap_or(u64::MAX);
+        self.metrics.push((name, Value::Int(value)));
+        self
+    }
+
+    pub fn float(mut self, name: &'static str, value: f64, decimals: usize) -> Row {
+        self.metrics.push((name, Value::Float(value, decimals)));
+        self
+    }
+
+    pub fn flag(mut self, name: &'static str, value: bool) -> Row {
+        self.metrics.push((name, Value::Bool(value)));
+        self
+    }
+
+    /// The value of metric `name`, if this arm reports it.
+    pub fn get(&self, name: &str) -> Option<&Value> {
+        self.metrics
+            .iter()
+            .find(|(n, _)| *n == name)
+            .map(|(_, v)| v)
+    }
+}
+
+/// A sweep's result: what it measures, the gate it enforces, sweep-wide
+/// parameters and derived figures, and one row per arm. Every `reproduce`
+/// sweep returns one; [`Sweep::table`] and [`Sweep::to_json`] render it.
+#[derive(Clone, Debug)]
+pub struct Sweep {
+    pub bench: String,
+    pub gate: &'static str,
+    pub params: Vec<(&'static str, Value)>,
+    pub arms: Vec<Row>,
+}
+
+impl Sweep {
+    /// Whether every arm passed the gate.
+    pub fn gate_ok(&self) -> bool {
+        self.violations() == 0
+    }
+
+    /// Gate violations across all arms.
+    pub fn violations(&self) -> usize {
+        self.arms.iter().map(|a| a.gate_violations.len()).sum()
+    }
+
+    /// The stdout rendering: the title, one line per arm (every metric any
+    /// arm reports, `-` where an arm has none, then the gate verdict), the
+    /// parameters, and every violation.
+    pub fn table(&self) -> String {
+        use std::fmt::Write as _;
+        let mut cols: Vec<&str> = Vec::new();
+        for (name, _) in self.arms.iter().flat_map(|a| &a.metrics) {
+            if !cols.contains(name) {
+                cols.push(name);
             }
         }
-    }
-    readers
-        .into_iter()
-        .filter(|(_, r)| r.len() < uqs.len())
-        .max_by_key(|(rel, r)| (r.len(), std::cmp::Reverse(*rel)))
-        .expect("some relation has a minority of readers")
-}
-
-/// The sweep's gate — "no tuple loss on unfaulted relations": a query the
-/// engine reports `Complete` must answer bit-identically to the fault-free
-/// run, and under a relation-scoped schedule a query that never reads the
-/// faulted relation must resolve `Complete`.
-fn chaos_gate(
-    base: &ChaosAnswers,
-    arm: &ChaosAnswers,
-    faulted_readers: Option<&std::collections::BTreeSet<qsys::types::UqId>>,
-) -> usize {
-    let mut violations = 0;
-    for (uq, (outcome, tuples)) in arm {
-        let clean = &base[uq];
-        match outcome {
-            qsys::QueryOutcome::Complete => {
-                if tuples != &clean.1 {
-                    violations += 1;
-                }
-            }
-            _ => {
-                if faulted_readers.is_some_and(|r| !r.contains(uq)) {
-                    violations += 1;
-                }
-            }
+        let cell = |row: &Row, col: &str| row.get(col).map_or("-".into(), ToString::to_string);
+        let arm_w = self.arms.iter().map(|a| a.arm.len()).fold(3, usize::max);
+        let widths: Vec<usize> = cols
+            .iter()
+            .map(|c| {
+                self.arms
+                    .iter()
+                    .map(|a| cell(a, c).len())
+                    .fold(c.len(), usize::max)
+            })
+            .collect();
+        let mut out = format!("{}\n{:>arm_w$}", self.bench, "arm");
+        for (col, w) in cols.iter().zip(&widths) {
+            let _ = write!(out, " {col:>w$}");
         }
-    }
-    violations
-}
-
-/// Run the chaos sweep: fault-free baseline, 1% and 5% transient-error
-/// rates, and a hard outage of one relation from t = 0. All schedules are
-/// seeded, so the sweep replays identically.
-pub fn chaos_sweep(seed: u64, scale: Scale) -> ChaosSweep {
-    use qsys_workload::faults::FaultPlan;
-    let w = gus_workload(seed, scale);
-    let (victim, victim_readers) = chaos_victim(&w);
-    let (base_report, base) = chaos_run(&w, None);
-    let mut arms = vec![ChaosArm {
-        label: "fault-free",
-        spec: None,
-        report: base_report,
-        gate_violations: 0,
-    }];
-    let cases: [(&'static str, String, bool); 3] = [
-        (
-            "transient-1pct",
-            FaultPlan::new(1009).transient(0.01).build(),
-            false,
-        ),
-        (
-            "transient-5pct",
-            FaultPlan::new(1009).transient(0.05).build(),
-            false,
-        ),
-        (
-            "hard-outage",
-            FaultPlan::new(1009).outage(victim, 0, None).build(),
-            true,
-        ),
-    ];
-    for (label, spec, scoped) in cases {
-        let (report, answers) = chaos_run(&w, Some(&spec));
-        let gate_violations = chaos_gate(&base, &answers, scoped.then_some(&victim_readers));
-        arms.push(ChaosArm {
-            label,
-            spec: Some(spec),
-            report,
-            gate_violations,
-        });
-    }
-    ChaosSweep {
-        victim,
-        victim_readers: victim_readers.len(),
-        arms,
-    }
-}
-
-/// Print the sweep as a table.
-pub fn print_chaos(sweep: &ChaosSweep) {
-    println!(
-        "Chaos sweep: fault-rate vs resilience (GUS; outage victim R{}, {} readers)",
-        sweep.victim, sweep.victim_readers
-    );
-    println!(
-        "{:>15} {:>9} {:>8} {:>7} {:>8} {:>7} {:>9} {:>10} {:>10} {:>5}",
-        "arm",
-        "complete",
-        "degraded",
-        "failed",
-        "retries",
-        "breaker",
-        "exhausted",
-        "p50(ms)",
-        "p99(ms)",
-        "gate"
-    );
-    for arm in &sweep.arms {
-        let f = &arm.report.faults;
-        let complete = arm.report.per_uq.len() - f.degraded - f.failed;
-        println!(
-            "{:>15} {:>9} {:>8} {:>7} {:>8} {:>7} {:>9} {:>10.1} {:>10.1} {:>5}",
-            arm.label,
-            complete,
-            f.degraded,
-            f.failed,
-            f.source.retries,
-            f.source.breaker_trips,
-            f.source.exhausted_fetches,
-            arm.report.response_percentile_us(50.0) as f64 / 1e3,
-            arm.report.response_percentile_us(99.0) as f64 / 1e3,
-            if arm.gate_violations == 0 {
+        out.push_str(" gate\n");
+        for row in &self.arms {
+            let _ = write!(out, "{:>arm_w$}", row.arm);
+            for (col, w) in cols.iter().zip(&widths) {
+                let _ = write!(out, " {:>w$}", cell(row, col));
+            }
+            let verdict = if row.gate_violations.is_empty() {
                 "ok"
             } else {
                 "FAIL"
-            },
-        );
-    }
-}
-
-/// Render the sweep as the repo's `BENCH_5.json` trajectory point.
-pub fn chaos_json(sweep: &ChaosSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
+            };
+            let _ = writeln!(out, " {verdict:>4}");
         }
-        let f = &arm.report.faults;
-        let spec = match &arm.spec {
-            Some(s) => format!("\"{s}\""),
-            None => "null".to_string(),
-        };
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"spec\": {spec},\n      \"queries\": {},\n      \"degraded\": {},\n      \"failed\": {},\n      \"retries\": {},\n      \"transient_errors\": {},\n      \"outage_errors\": {},\n      \"timeouts\": {},\n      \"breaker_trips\": {},\n      \"breaker_fast_fails\": {},\n      \"exhausted_fetches\": {},\n      \"quarantined_streams\": {},\n      \"failed_probes\": {},\n      \"p50_response_us\": {},\n      \"p99_response_us\": {},\n      \"gate_violations\": {}\n    }}",
-            arm.label,
-            arm.report.per_uq.len(),
-            f.degraded,
-            f.failed,
-            f.source.retries,
-            f.source.transient_errors,
-            f.source.outage_errors,
-            f.source.timeouts,
-            f.source.breaker_trips,
-            f.source.breaker_fast_fails,
-            f.source.exhausted_fetches,
-            f.source.quarantined_streams,
-            f.source.failed_probes,
-            arm.report.response_percentile_us(50.0),
-            arm.report.response_percentile_us(99.0),
-            arm.gate_violations,
-        ));
+        for (name, value) in &self.params {
+            let _ = writeln!(out, "{name}: {value}");
+        }
+        for row in &self.arms {
+            for v in &row.gate_violations {
+                let _ = writeln!(out, "  VIOLATION [{}] {v}", row.arm);
+            }
+        }
+        out
     }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    format!(
-        "{{\n  \"bench\": \"chaos sweep: deterministic fault injection vs per-query degradation (ATC-FULL)\",\n  \"gate\": \"no tuple loss on unfaulted relations; Complete answers bit-identical to the fault-free run\",\n  \"outage_victim_rel\": {},\n  \"outage_victim_readers\": {},\n  \"gate_ok\": {gate_ok},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.victim, sweep.victim_readers,
-    )
+
+    /// The file rendering, one schema for every sweep:
+    /// `{bench, gate, gate_ok, params, arms: [{arm, metrics, gate_violations}]}`.
+    pub fn to_json(&self) -> String {
+        let object = |pairs: &[(&str, Value)]| {
+            let fields: Vec<String> = pairs
+                .iter()
+                .map(|(k, v)| format!("{}: {v}", json_str(k)))
+                .collect();
+            format!("{{{}}}", fields.join(", "))
+        };
+        let arms: Vec<String> = self
+            .arms
+            .iter()
+            .map(|row| {
+                let violations: Vec<String> =
+                    row.gate_violations.iter().map(|v| json_str(v)).collect();
+                format!(
+                    "    {{\"arm\": {}, \"metrics\": {}, \"gate_violations\": [{}]}}",
+                    json_str(&row.arm),
+                    object(&row.metrics),
+                    violations.join(", ")
+                )
+            })
+            .collect();
+        format!(
+            "{{\n  \"bench\": {},\n  \"gate\": {},\n  \"gate_ok\": {},\n  \"params\": {},\n  \"arms\": [\n{}\n  ]\n}}\n",
+            json_str(&self.bench),
+            json_str(self.gate),
+            self.gate_ok(),
+            object(&self.params),
+            arms.join(",\n")
+        )
+    }
 }
 
-// ---------------------------------------------------------------------------
-// Restart sweep: cold vs warm vs warm-from-snapshot (BENCH_6.json).
-// ---------------------------------------------------------------------------
-
-/// One arm of the restart sweep: how long the probe batch (a repeat of
-/// batch 0 after three primed batches) took to optimize, and what the
-/// optimizer decided.
-pub struct RestartArm {
-    /// `cold` / `warm` / `snapshot`.
-    pub label: &'static str,
-    /// Host µs optimizing the probe batch (min over the measured iters).
-    pub probe_us: u128,
-    /// Warm-plan replays the probe produced.
-    pub warm_hits: usize,
-    /// The probe's decision fingerprint (identity-gated across arms).
-    pub row: DecisionRow,
+/// A JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::from('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    out
 }
 
-/// The full-`Engine` restart leg: run a workload with persistence on,
-/// "restart" (a second engine over the same directory), and compare
-/// against a fresh engine with persistence off.
-pub struct EngineRestart {
-    /// The restarted engine rehydrated from the snapshot.
-    pub loaded: bool,
-    /// Lanes that came back warm.
-    pub lanes_loaded: usize,
-    /// Snapshots the priming run published.
-    pub writes: usize,
-    /// Warm-plan replays in the restarted run's *first* batch — the
-    /// restart actually skipping the cold search.
-    pub first_batch_warm_hits: usize,
-    /// Restarted run bit-identical (per-query times, results, work, and
-    /// optimizer decisions) to the cold run.
-    pub identical: bool,
+/// The one arm runner: drive `w` through sessions under each named
+/// config. Arm 0 is the baseline; each later arm's violations are
+/// `gate(label, baseline answers, arm answers)`.
+fn run_arms(
+    w: &Workload,
+    arms: Vec<(String, EngineConfig)>,
+    gate: impl Fn(&str, &Answers, &Answers) -> Vec<String>,
+) -> Vec<(Row, RunReport)> {
+    let mut base: Option<Answers> = None;
+    arms.into_iter()
+        .map(|(label, cfg)| {
+            let (engine, answers) = qsys::drive_session(w, cfg, false);
+            let mut row = Row::new(label);
+            if let Some(base) = &base {
+                row.gate_violations = gate(&row.arm, base, &answers);
+            }
+            base.get_or_insert(answers);
+            (row, engine.report())
+        })
+        .collect()
 }
 
-/// Outcome of [`restart_sweep`].
-pub struct RestartSweep {
-    /// Probe-batch arms: cold search, in-process warm memo, warm memo
-    /// rehydrated from disk in a fresh manager.
-    pub cold: RestartArm,
-    pub warm: RestartArm,
-    pub snap: RestartArm,
-    /// All three arms made bit-identical decisions.
-    pub identical: bool,
-    /// Published snapshot size, bytes.
-    pub snapshot_bytes: u64,
-    /// Host µs to publish (encode + write + fsync + rename).
-    pub write_us: u128,
-    /// Host µs to load + validate + rebuild.
-    pub load_us: u64,
-    /// Sections admitted by the loader.
-    pub sections_salvaged: usize,
-    /// The full-`Engine` restart leg.
-    pub engine: EngineRestart,
+/// The tie-aware identity gate against the baseline arm.
+fn drifted(_: &str, base: &Answers, arm: &Answers) -> Vec<String> {
+    qsys::answer_drift(base, arm)
+        .iter()
+        .map(|uq| format!("{uq}: answers drifted from the baseline arm"))
+        .collect()
+}
+
+/// Chaos sweep (BENCH_5): a fault-free baseline, 1% and 5% transient
+/// error rates, and a hard outage of one relation from t = 0, all seeded.
+/// The gate is "no tuple loss on unfaulted relations": a query reported
+/// `Complete` answers exactly like the fault-free run, in returned order,
+/// and under the outage every non-reader of the victim resolves
+/// `Complete`.
+pub fn chaos_sweep(seed: u64, scale: Scale) -> Sweep {
+    use qsys_workload::faults::FaultPlan;
+    let w = gus_workload(seed, scale);
+    let cfg = |spec: Option<String>| {
+        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+        cfg.faults = spec.map(|s| qsys::source::FaultSpec::parse(&s).expect("valid fault spec"));
+        cfg
+    };
+    let readers = qsys::relation_readers(&w, &cfg(None)).expect("workload generates");
+    let (victim, victim_readers) =
+        qsys::outage_victim(&readers).expect("some relation has a minority of readers");
+    let arms = vec![
+        ("fault-free".into(), cfg(None)),
+        (
+            "transient-1pct".into(),
+            cfg(Some(FaultPlan::new(1009).transient(0.01).build())),
+        ),
+        (
+            "transient-5pct".into(),
+            cfg(Some(FaultPlan::new(1009).transient(0.05).build())),
+        ),
+        (
+            "hard-outage".into(),
+            cfg(Some(FaultPlan::new(1009).outage(victim, 0, None).build())),
+        ),
+    ];
+    let rows = run_arms(&w, arms, |label, base, arm| {
+        let scope = (label == "hard-outage").then_some(&victim_readers);
+        qsys::fault_isolation_violations(base, arm, scope)
+            .iter()
+            .map(|uq| format!("{uq}: tuple loss outside the faulted relation"))
+            .collect()
+    });
+    let arms = rows
+        .into_iter()
+        .map(|(row, r)| {
+            let f = &r.faults;
+            row.int(
+                "complete",
+                r.per_uq.len().saturating_sub(f.degraded + f.failed),
+            )
+            .int("degraded", f.degraded)
+            .int("failed", f.failed)
+            .int("retries", f.source.retries)
+            .int("transient_errors", f.source.transient_errors)
+            .int("outage_errors", f.source.outage_errors)
+            .int("breaker_trips", f.source.breaker_trips)
+            .int("exhausted_fetches", f.source.exhausted_fetches)
+            .int("quarantined_streams", f.source.quarantined_streams)
+            .int("p50_response_us", r.response_percentile_us(50.0))
+            .int("p99_response_us", r.response_percentile_us(99.0))
+        })
+        .collect();
+    Sweep {
+        bench:
+            "Chaos sweep: deterministic fault injection vs per-query degradation (GUS, ATC-FULL)"
+                .into(),
+        gate: "no tuple loss on unfaulted relations: Complete answers bit-identical to the \
+               fault-free run, non-readers of the outaged relation Complete",
+        params: vec![
+            ("outage_victim_rel", Value::Int(victim.into())),
+            (
+                "outage_victim_readers",
+                Value::Int(victim_readers.len() as u64),
+            ),
+        ],
+        arms,
+    }
 }
 
 /// A scratch directory for snapshot benches (under the system temp dir;
@@ -1552,55 +1429,50 @@ fn restart_tmp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
-/// Like [`optimize_decision_stream`], but keeps the manager (so its warm
-/// state can be snapshotted) and times each batch's optimize call.
-#[allow(clippy::type_complexity)]
-fn drive_decision_stream(
-    catalog: &qsys::catalog::Catalog,
-    opt_config: &OptimizerConfig,
-    batches: &[Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>],
-    warm: bool,
-) -> (qsys::state::QsManager, Vec<(DecisionRow, u128)>) {
-    use qsys::state::QsManager;
-
-    let manager = QsManager::new(usize::MAX);
-    let optimizer = Optimizer::new(catalog, opt_config.clone());
-    let interner = manager.shared_interner();
-    let warm_cell = warm.then(|| manager.warm_cell());
-    let rows = batches
-        .iter()
-        .map(|batch| {
-            let oracle = manager.reuse_oracle();
-            let t = std::time::Instant::now();
-            let (spec, stats) =
-                optimizer.optimize_warm(batch, &oracle, None, &interner, warm_cell.as_deref());
-            let us = t.elapsed().as_micros();
-            (
-                DecisionRow {
-                    spec_debug: format!("{spec:?}"),
-                    explored: stats.explored,
-                    memo_hits: stats.memo_hits,
-                    candidates: stats.candidates,
-                    best_cost_bits: stats.best_cost.to_bits(),
-                    warm_hits: stats.warm_hits,
-                },
-                us,
-            )
-        })
-        .collect();
-    (manager, rows)
+/// The restart row of a run with persistence on.
+fn restart_row(label: &str, r: &RunReport) -> Row {
+    Row::new(label)
+        .flag("loaded", r.snapshot.loaded)
+        .int("lanes_loaded", r.snapshot.lanes_loaded)
+        .int("snapshot_writes", r.snapshot.writes)
+        .int("first_batch_warm_hits", first_batch_warm_hits(r))
 }
 
-/// Cold vs warm-in-process vs warm-from-snapshot optimize time for a
-/// recurring batch, plus the full-`Engine` restart comparison — the
-/// `reproduce restart` sweep behind `BENCH_6.json`.
-///
-/// The probe is a repeat of batch 0 after three primed 5-UQ batches of the
+fn first_batch_warm_hits(r: &RunReport) -> usize {
+    r.opt_events.first().map_or(0, |e| e.warm_hits)
+}
+
+/// The restart gate on a run that should have rehydrated from a snapshot:
+/// it loaded, its first batch replayed the warm plan instead of searching,
+/// and it is decision-identical to a persistence-off run.
+fn restart_violations(restarted: &RunReport, cold: &RunReport) -> Vec<String> {
+    let mut violations = Vec::new();
+    if !restarted.snapshot.loaded {
+        let why = restarted.snapshot.reason.as_deref();
+        violations.push(format!(
+            "did not rehydrate from the snapshot ({})",
+            why.unwrap_or("no reason recorded")
+        ));
+    }
+    if first_batch_warm_hits(restarted) == 0 {
+        violations.push("the first post-restart batch did not replay the warm plan".into());
+    }
+    if let Some(diff) = restarted.identity_diff(cold) {
+        violations.push(format!("diverged from a persistence-off run: {diff}"));
+    }
+    violations
+}
+
+/// Restart sweep (BENCH_6): cold vs warm-in-process vs warm-from-snapshot
+/// optimize time for a recurring batch, plus a full-`Engine` restart. The
+/// probe is a repeat of batch 0 after three primed 5-UQ batches of the
 /// seed-`seed` GUS stream; each arm's probe optimize is re-measured
 /// `iters` times (state-idempotent — replaying a warm plan records the
 /// same plan) and the minimum is reported, since the comparison is about
-/// the code path, not scheduler noise.
-pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> RestartSweep {
+/// the code path, not scheduler noise. Gate: every arm decides exactly
+/// like the cold search, and the restarted engine rehydrates, replays its
+/// first batch warm, and is decision-identical to a persistence-off run.
+pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> Sweep {
     use qsys::snapshot::{
         catalog_fingerprint, load_snapshot, write_snapshot, LaneImage, SnapshotImage,
     };
@@ -1608,28 +1480,13 @@ pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> RestartSweep {
     let workload = gus_workload(seed, scale);
     let engine_cfg = gus_engine(SharingMode::AtcFull, 5);
     let (uqs, _) = qsys::generate_user_queries(&workload, &engine_cfg).expect("generates");
-    let opt_config = OptimizerConfig {
-        k: engine_cfg.k,
-        heuristics: engine_cfg.heuristics.clone(),
-        cost_profile: engine_cfg.cost_profile,
-        share_subexpressions: true,
-        ..OptimizerConfig::default()
-    };
-    let prime: Vec<Vec<(&qsys::query::ConjunctiveQuery, &qsys::query::ScoreFn)>> = uqs
-        .chunks(5)
-        .take(3)
-        .map(|chunk| {
-            chunk
-                .iter()
-                .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
-                .collect()
-        })
-        .collect();
+    let opt_config = engine_cfg.optimizer_config(true);
+    let prime: Vec<Batch> = uqs.chunks(5).take(3).map(batch_of).collect();
     let probe = prime[0].clone();
     let iters = iters.max(1);
 
-    // Measure one arm's probe time: prime the manager, then optimize the
-    // probe batch `iters` times and keep the fastest.
+    // One arm's probe: optimize the probe batch `iters` times over the
+    // primed manager and keep the fastest.
     let measure = |manager: &qsys::state::QsManager, warm: bool| -> (DecisionRow, u128) {
         let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
         let interner = manager.shared_interner();
@@ -1642,25 +1499,18 @@ pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> RestartSweep {
             let (spec, stats) =
                 optimizer.optimize_warm(&probe, &oracle, None, &interner, warm_cell.as_deref());
             best_us = best_us.min(t.elapsed().as_micros());
-            row = Some(DecisionRow {
-                spec_debug: format!("{spec:?}"),
-                explored: stats.explored,
-                memo_hits: stats.memo_hits,
-                candidates: stats.candidates,
-                best_cost_bits: stats.best_cost.to_bits(),
-                warm_hits: stats.warm_hits,
-            });
+            row = Some(DecisionRow::new(&spec, &stats));
         }
         (row.expect("iters >= 1"), best_us)
     };
 
     // Arm 1 — cold: primed interner, no warm store, full search each time.
-    let (cold_mgr, _) = drive_decision_stream(&workload.catalog, &opt_config, &prime, false);
-    let (cold_row, cold_us) = measure(&cold_mgr, false);
+    let (cold_mgr, _) = optimize_decision_stream(&workload.catalog, &opt_config, &prime, false);
+    let cold = measure(&cold_mgr, false);
 
     // Arm 2 — warm in-process: the same lane keeps its warm memo.
-    let (warm_mgr, _) = drive_decision_stream(&workload.catalog, &opt_config, &prime, true);
-    let (warm_row, warm_us) = measure(&warm_mgr, true);
+    let (warm_mgr, _) = optimize_decision_stream(&workload.catalog, &opt_config, &prime, true);
+    let warm = measure(&warm_mgr, true);
 
     // Arm 3 — warm from snapshot: persist arm 2's state, reload it into a
     // fresh manager (a restarted process), and optimize there.
@@ -1690,425 +1540,162 @@ pub fn restart_sweep(seed: u64, scale: Scale, iters: usize) -> RestartSweep {
     let snap_mgr = qsys::state::QsManager::new(usize::MAX);
     *snap_mgr.shared_interner().borrow_mut() = loaded.interner;
     *snap_mgr.warm_cell().borrow_mut() = loaded.warm;
-    let (snap_row, snap_us) = measure(&snap_mgr, true);
+    let snap = measure(&snap_mgr, true);
     let _ = std::fs::remove_dir_all(&dir);
 
-    let identical = cold_row.decisions() == warm_row.decisions()
-        && cold_row.decisions() == snap_row.decisions();
+    let probe_row = |label: &str, (row, us): &(DecisionRow, u128)| {
+        let mut out = Row::new(label)
+            .int("optimize_us", *us)
+            .int("warm_plan_replays", row.warm_hits);
+        if row.decisions() != cold.0.decisions() {
+            out.gate_violations
+                .push("probe decisions differ from the cold search".into());
+        }
+        out
+    };
+    let mut arms = vec![
+        probe_row("cold", &cold),
+        probe_row("warm", &warm),
+        probe_row("snapshot", &snap),
+    ];
 
     // The full-Engine leg: prime with persistence on, "restart" (second
     // engine over the same directory), compare against persistence off.
-    let engine = {
-        let dir = restart_tmp_dir("engine");
-        let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-        cfg.snapshot_dir = Some(dir.clone());
-        let primed = run_workload(&workload, &cfg, Some(15)).expect("priming run");
-        let restarted = run_workload(&workload, &cfg, Some(15)).expect("restarted run");
-        let mut cold_cfg = gus_engine(SharingMode::AtcFull, 5);
-        cold_cfg.snapshot_dir = None;
-        let baseline = run_workload(&workload, &cold_cfg, Some(15)).expect("baseline run");
-        let _ = std::fs::remove_dir_all(&dir);
-        EngineRestart {
-            loaded: restarted.snapshot.loaded,
-            lanes_loaded: restarted.snapshot.lanes_loaded,
-            writes: primed.snapshot.writes,
-            first_batch_warm_hits: restarted
-                .opt_events
-                .first()
-                .map(|e| e.warm_hits)
-                .unwrap_or(0),
-            identical: reports_identical(&restarted, &baseline),
-        }
-    };
+    let dir = restart_tmp_dir("engine");
+    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+    cfg.snapshot_dir = Some(dir.clone());
+    run_workload(&workload, &cfg, Some(15)).expect("priming run");
+    let restarted = run_workload(&workload, &cfg, Some(15)).expect("restarted run");
+    cfg.snapshot_dir = None;
+    let baseline = run_workload(&workload, &cfg, Some(15)).expect("baseline run");
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut engine_row = restart_row("engine-restart", &restarted);
+    engine_row.gate_violations = restart_violations(&restarted, &baseline);
+    arms.push(engine_row);
 
-    RestartSweep {
-        cold: RestartArm {
-            label: "cold",
-            probe_us: cold_us,
-            warm_hits: cold_row.warm_hits,
-            row: cold_row,
-        },
-        warm: RestartArm {
-            label: "warm",
-            probe_us: warm_us,
-            warm_hits: warm_row.warm_hits,
-            row: warm_row,
-        },
-        snap: RestartArm {
-            label: "snapshot",
-            probe_us: snap_us,
-            warm_hits: snap_row.warm_hits,
-            row: snap_row,
-        },
-        identical,
-        snapshot_bytes,
-        write_us,
-        load_us: summary.load_us,
-        sections_salvaged: summary.sections_salvaged,
-        engine,
+    Sweep {
+        bench: "Restart sweep: cold vs warm-in-process vs warm-from-snapshot optimize time \
+                (probe = repeat of batch 0 after 3 primed 5-UQ batches; min of measured iters)"
+            .into(),
+        gate: "decisions bit-identical across all arms and across an engine restart; the first \
+               post-restart batch replays the warm plan",
+        params: vec![
+            ("snapshot_bytes", Value::Int(snapshot_bytes)),
+            ("snapshot_write_us", Value::Int(write_us as u64)),
+            ("snapshot_load_us", Value::Int(summary.load_us)),
+            (
+                "sections_salvaged",
+                Value::Int(summary.sections_salvaged as u64),
+            ),
+            (
+                "snapshot_vs_warm_ratio",
+                Value::Float(snap.1 as f64 / (warm.1 as f64).max(1.0), 2),
+            ),
+        ],
+        arms,
     }
-}
-
-/// Decision-level equality of two runs: per-query outcomes and the
-/// optimizer's work/decision counters (host wall time excluded).
-pub fn reports_identical(a: &RunReport, b: &RunReport) -> bool {
-    a.tuples_consumed == b.tuples_consumed
-        && a.per_uq.len() == b.per_uq.len()
-        && a.per_uq.iter().zip(&b.per_uq).all(|(x, y)| {
-            x.uq == y.uq
-                && x.response_us == y.response_us
-                && x.results == y.results
-                && x.cqs_executed == y.cqs_executed
-                && x.reused_nodes == y.reused_nodes
-        })
-        && a.opt_events.len() == b.opt_events.len()
-        && a.opt_events.iter().zip(&b.opt_events).all(|(x, y)| {
-            x.batch_cqs == y.batch_cqs && x.candidates == y.candidates && x.explored == y.explored
-        })
-}
-
-/// Human-readable restart sweep.
-pub fn print_restart(sweep: &RestartSweep) {
-    println!("Restart sweep: probe = repeat of batch 0 after 3 primed 5-UQ batches");
-    println!("  arm            optimize_us   warm_plan_replays");
-    for arm in [&sweep.cold, &sweep.warm, &sweep.snap] {
-        println!(
-            "  {:<12} {:>12}   {:>5}",
-            arm.label, arm.probe_us, arm.warm_hits
-        );
-    }
-    println!(
-        "  decisions identical across arms: {}",
-        if sweep.identical { "yes" } else { "NO" }
-    );
-    println!(
-        "  snapshot: {} bytes, write {} µs, load+validate {} µs, {} sections",
-        sweep.snapshot_bytes, sweep.write_us, sweep.load_us, sweep.sections_salvaged
-    );
-    let e = &sweep.engine;
-    println!(
-        "  engine restart: loaded={} lanes={} writes={} first_batch_warm_hits={} identical={}",
-        e.loaded, e.lanes_loaded, e.writes, e.first_batch_warm_hits, e.identical
-    );
-}
-
-/// The `BENCH_6.json` document for a restart sweep.
-pub fn restart_json(sweep: &RestartSweep) -> String {
-    let ratio = sweep.snap.probe_us as f64 / (sweep.warm.probe_us as f64).max(1.0);
-    let e = &sweep.engine;
-    format!(
-        "{{\n  \"bench\": \"restart sweep: cold vs warm-in-process vs warm-from-snapshot optimize time (GUS seed 41, repeat of batch 0 after 3 primed 5-UQ batches; min of measured iters)\",\n  \"gate\": \"decisions bit-identical across all arms and across an engine restart; first post-restart batch replays the warm plan\",\n  \"cold_optimize_us\": {},\n  \"warm_optimize_us\": {},\n  \"snapshot_optimize_us\": {},\n  \"snapshot_vs_warm_ratio\": {ratio:.2},\n  \"snapshot_bytes\": {},\n  \"snapshot_write_us\": {},\n  \"snapshot_load_us\": {},\n  \"sections_salvaged\": {},\n  \"decisions_identical\": {},\n  \"engine_restart\": {{\n    \"loaded\": {},\n    \"lanes_loaded\": {},\n    \"snapshot_writes\": {},\n    \"first_batch_warm_hits\": {},\n    \"identical\": {}\n  }}\n}}\n",
-        sweep.cold.probe_us,
-        sweep.warm.probe_us,
-        sweep.snap.probe_us,
-        sweep.snapshot_bytes,
-        sweep.write_us,
-        sweep.load_us,
-        sweep.sections_salvaged,
-        sweep.identical,
-        e.loaded,
-        e.lanes_loaded,
-        e.writes,
-        e.first_batch_warm_hits,
-        e.identical,
-    )
 }
 
 /// One half of the cross-process restart check: CI runs `--phase prime`
 /// and `--phase reload` as *separate processes* over the same directory,
 /// so the reload genuinely starts from nothing but the snapshot file.
-pub struct RestartPhase {
-    /// Snapshots this run published.
-    pub writes: usize,
-    /// Size of the snapshot file on disk after the run.
-    pub bytes_on_disk: u64,
-    /// (reload only) the engine rehydrated from the snapshot.
-    pub loaded: bool,
-    /// (reload only) lanes that came back warm.
-    pub lanes_loaded: usize,
-    /// (reload only) warm-plan replays in the first post-restart batch.
-    pub first_batch_warm_hits: usize,
-    /// (reload only) run bit-identical to a cold run with persistence off.
-    pub identical: bool,
-    /// (reload only) the loader's rejection reason, if any.
-    pub reason: Option<String>,
-}
-
-/// Run the seed-`seed` GUS workload with warm-state persistence rooted at
-/// `dir`. With `reload` the run is expected to rehydrate from a snapshot a
-/// *previous process* published there, and is compared against a fresh
-/// persistence-off run for decision identity.
-pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: bool) -> RestartPhase {
+/// Runs the seed-`seed` GUS workload with warm-state persistence rooted at
+/// `dir`. Prime's gate: a snapshot was published. Reload's gate: the
+/// [`restart_sweep`] engine-restart gate against a persistence-off run.
+pub fn restart_phase(seed: u64, scale: Scale, dir: &std::path::Path, reload: bool) -> Sweep {
     let workload = gus_workload(seed, scale);
     let mut cfg = gus_engine(SharingMode::AtcFull, 5);
     cfg.snapshot_dir = Some(dir.to_path_buf());
     let report = run_workload(&workload, &cfg, Some(15)).expect("persistence run");
-    let bytes_on_disk = std::fs::metadata(dir.join("qsys.snapshot"))
-        .map(|m| m.len())
-        .unwrap_or(0);
-    let identical = if reload {
-        let mut cold_cfg = gus_engine(SharingMode::AtcFull, 5);
-        cold_cfg.snapshot_dir = None;
-        let baseline = run_workload(&workload, &cold_cfg, Some(15)).expect("baseline run");
-        reports_identical(&report, &baseline)
+    let bytes_on_disk = std::fs::metadata(dir.join("qsys.snapshot")).map_or(0, |m| m.len());
+    let phase = if reload { "reload" } else { "prime" };
+    let mut row = restart_row(phase, &report).int("bytes_on_disk", bytes_on_disk);
+    let gate = if reload {
+        cfg.snapshot_dir = None;
+        let cold = run_workload(&workload, &cfg, Some(15)).expect("baseline run");
+        row.gate_violations = restart_violations(&report, &cold);
+        "the restarted process rehydrates warm, replays its first batch, and decides exactly \
+         like a persistence-off run"
     } else {
-        true
-    };
-    RestartPhase {
-        writes: report.snapshot.writes,
-        bytes_on_disk,
-        loaded: report.snapshot.loaded,
-        lanes_loaded: report.snapshot.lanes_loaded,
-        first_batch_warm_hits: report.opt_events.first().map(|e| e.warm_hits).unwrap_or(0),
-        identical,
-        reason: report.snapshot.reason.clone(),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Shard sweep: oversized-cluster sharding vs lane balance (BENCH_7.json).
-// ---------------------------------------------------------------------------
-
-/// One arm of the shard sweep: a shard cap, the run, and the identity
-/// gate against the unsharded baseline.
-pub struct ShardArm {
-    /// Arm name ("unsharded", "shards<=2", …).
-    pub label: &'static str,
-    /// `max_shards` for the arm (0 = sharding off).
-    pub max_shards: usize,
-    /// Full run report (per-lane ancestry under `report.lane_summaries`).
-    pub report: RunReport,
-    /// Lanes that are shards of a split cluster.
-    pub sharded_lanes: usize,
-    /// Queries whose answer multiset drifted from the unsharded run.
-    pub gate_violations: usize,
-}
-
-/// The full sweep: the unsharded baseline plus shard caps 2 / 4 / 8 at a
-/// threshold of one UQ-equivalent (every multi-UQ cluster splits).
-pub struct ShardSweep {
-    /// Arms in sweep order (index 0 is the unsharded baseline).
-    pub arms: Vec<ShardArm>,
-    /// Σ/max of per-lane walls without sharding — the parallel speedup
-    /// the unsharded lane topology can ever reach.
-    pub bound_unsharded: f64,
-    /// The best post-sharding Σ/max across arms — the same bound after
-    /// splitting oversized clusters (comparable before/after).
-    pub bound_sharded: f64,
-}
-
-/// Session-driven run of the ATC-CL reference workload under `sharding`,
-/// capturing per-ticket answers as *sorted* multisets (the correctness
-/// bar is multiset identity; shard interleaving may reorder equal-score
-/// answers).
-fn shard_run(w: &Workload, sharding: qsys::ShardConfig) -> (RunReport, ChaosAnswers) {
-    let mut cfg = atc_cl_reference_engine(1);
-    cfg.sharding = sharding;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
+        if report.snapshot.writes == 0 || bytes_on_disk == 0 {
+            row.gate_violations
+                .push("the priming run published no snapshot".into());
         }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
-    engine.run_until_idle();
-    let answers = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolves every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(s, tu)| (s.get().to_bits(), format!("{tu:?}")))
-                .collect();
-            tuples.sort();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), answers)
-}
-
-/// The sweep's gate — sharding must be invisible in results: every query
-/// resolves with the same outcome and the same answer multiset as the
-/// unsharded run.
-/// Tie-aware answer equivalence: outcomes match, score multisets match
-/// bit-for-bit, and every tuple scored strictly above the k-th (minimum
-/// returned) score matches exactly. Tuples *at* the boundary score only
-/// need matching counts: when more than k-boundary candidates tie at the
-/// cut, the top-k set is inherently non-unique, and a different lane
-/// composition may surface a different — equally ranked — tied subset.
-pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
-    if want.len() != got.len() {
-        return false;
-    }
-    let scores = |v: &[(u64, String)]| {
-        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
-        s.sort_unstable();
-        s
+        "the priming run publishes a snapshot for the reload phase"
     };
-    if scores(want) != scores(got) {
-        return false;
+    Sweep {
+        bench: format!("Restart phase {phase}: warm-state persistence across processes"),
+        gate,
+        params: Vec::new(),
+        arms: vec![row],
     }
-    let boundary = want
-        .iter()
-        .map(|(b, _)| f64::from_bits(*b))
-        .fold(f64::INFINITY, f64::min);
-    fn above(v: &[(u64, String)], boundary: f64) -> Vec<&(u64, String)> {
-        let mut s: Vec<&(u64, String)> = v
-            .iter()
-            .filter(|(b, _)| f64::from_bits(*b) > boundary)
-            .collect();
-        s.sort();
-        s
-    }
-    above(want, boundary) == above(got, boundary)
 }
 
-fn shard_gate(base: &ChaosAnswers, arm: &ChaosAnswers) -> usize {
-    arm.iter()
-        .filter(|(uq, got)| match base.get(uq) {
-            Some(want) => want.0 != got.0 || !answers_equivalent(&want.1, &got.1),
-            None => true,
-        })
-        .count()
-}
-
-/// Run the shard sweep on the multi-cluster ATC-CL reference workload:
+/// Shard sweep (BENCH_7) on the multi-cluster ATC-CL reference workload:
 /// unsharded baseline, then shard caps 2 / 4 / 8 at threshold 1.0 (one
 /// UQ-equivalent, so every multi-UQ cluster splits up to the cap). Lanes
 /// run sequentially (`lane_threads = 1`) so per-lane walls attribute
-/// cleanly and Σ/max is the achievable parallel speedup bound.
-pub fn shard_sweep() -> ShardSweep {
+/// cleanly and Σ/max is the achievable parallel speedup bound. Gate:
+/// tie-aware answer identity with the unsharded run at every cap; with
+/// `check`, also that sharding does not lower the speedup bound.
+pub fn shard_sweep(check: bool) -> Sweep {
     let w = atc_cl_reference_workload();
-    let (base_report, base) = shard_run(&w, qsys::ShardConfig::off());
-    let bound_unsharded = base_report.lane_balance();
-    let mut arms = vec![ShardArm {
-        label: "unsharded",
-        max_shards: 0,
-        report: base_report,
-        sharded_lanes: 0,
-        gate_violations: 0,
-    }];
-    let cases: [(&'static str, usize); 3] = [("shards<=2", 2), ("shards<=4", 4), ("shards<=8", 8)];
-    for (label, cap) in cases {
-        let mut sharding = qsys::ShardConfig::at(1.0);
-        sharding.max_shards = cap;
-        let (report, answers) = shard_run(&w, sharding);
-        let gate_violations = shard_gate(&base, &answers);
-        let sharded_lanes = report
-            .lane_summaries
-            .iter()
-            .filter(|l| l.shard_of.is_some())
-            .count();
-        arms.push(ShardArm {
-            label,
-            max_shards: cap,
-            report,
-            sharded_lanes,
-            gate_violations,
-        });
-    }
-    let bound_sharded = arms
+    let caps = [0usize, 2, 4, 8];
+    let arms = caps
         .iter()
-        .skip(1)
-        .map(|a| a.report.lane_balance())
+        .map(|&cap| {
+            let mut cfg = atc_cl_reference_engine(1);
+            if cap == 0 {
+                return ("unsharded".to_string(), cfg);
+            }
+            cfg.sharding = qsys::ShardConfig::at(1.0);
+            cfg.sharding.max_shards = cap;
+            (format!("shards<={cap}"), cfg)
+        })
+        .collect();
+    let rows = run_arms(&w, arms, drifted);
+    let bound_unsharded = rows[0].1.lane_balance();
+    let bound_sharded = rows[1..]
+        .iter()
+        .map(|(_, r)| r.lane_balance())
         .fold(bound_unsharded, f64::max);
-    ShardSweep {
-        arms,
-        bound_unsharded,
-        bound_sharded,
-    }
-}
-
-/// Print the sweep as a table.
-pub fn print_shard(sweep: &ShardSweep) {
-    println!(
-        "Shard sweep: oversized-cluster sharding vs lane balance \
-         (ATC-CL reference workload, lane_threads = 1)"
-    );
-    println!(
-        "{:>11} {:>6} {:>7} {:>12} {:>12} {:>9} {:>10} {:>5}",
-        "arm", "lanes", "shards", "max-wall(ms)", "sum-wall(ms)", "balance", "tuples", "gate"
-    );
-    for arm in &sweep.arms {
-        let walls = &arm.report.lane_wall_us;
-        let max = walls.iter().copied().max().unwrap_or(0);
-        let sum: u64 = walls.iter().sum();
-        println!(
-            "{:>11} {:>6} {:>7} {:>12.1} {:>12.1} {:>9.2} {:>10} {:>5}",
-            arm.label,
-            arm.report.lanes,
-            arm.sharded_lanes,
-            max as f64 / 1e3,
-            sum as f64 / 1e3,
-            arm.report.lane_balance(),
-            arm.report.tuples_consumed,
-            if arm.gate_violations == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        );
-    }
-    println!(
-        "speedup bound: {:.2}x unsharded -> {:.2}x best sharded",
-        sweep.bound_unsharded, sweep.bound_sharded
-    );
-}
-
-/// Render the sweep as the repo's `BENCH_7.json` trajectory point.
-pub fn shard_json(sweep: &ShardSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        let walls: Vec<String> = arm.report.lane_wall_us.iter().map(u64::to_string).collect();
-        let lanes: Vec<String> = arm
-            .report
-            .lane_summaries
-            .iter()
-            .map(|l| {
-                let shard = match l.shard_of {
-                    Some((i, n)) => format!("\"{}/{}\"", i + 1, n),
-                    None => "null".to_string(),
-                };
-                format!(
-                    "        {{\"lane\": {}, \"cluster\": {}, \"shard\": {shard}, \"wall_us\": {}, \"uqs\": {}, \"tuples_consumed\": {}}}",
-                    l.lane, l.cluster, l.wall_us, l.uqs, l.tuples_consumed,
-                )
-            })
-            .collect();
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"max_shards\": {},\n      \"lanes\": {},\n      \"sharded_lanes\": {},\n      \"lane_wall_us\": [{}],\n      \"lane_balance\": {:.2},\n      \"tuples_consumed\": {},\n      \"tuples_streamed\": {},\n      \"gate_violations\": {},\n      \"lane_summaries\": [\n{}\n      ]\n    }}",
-            arm.label,
-            arm.max_shards,
-            arm.report.lanes,
-            arm.sharded_lanes,
-            walls.join(", "),
-            arm.report.lane_balance(),
-            arm.report.tuples_consumed,
-            arm.report.tuples_streamed,
-            arm.gate_violations,
-            lanes.join(",\n"),
+    let mut arms: Vec<Row> = rows
+        .into_iter()
+        .zip(caps)
+        .map(|((row, r), cap)| {
+            let walls = &r.lane_wall_us;
+            let max = walls.iter().copied().max().unwrap_or(0);
+            let sum: u64 = walls.iter().sum();
+            let sharded = r.lane_summaries.iter().filter(|l| l.shard_of.is_some());
+            row.int("max_shards", cap)
+                .int("lanes", r.lanes)
+                .int("sharded_lanes", sharded.count())
+                .float("max_wall_ms", max as f64 / 1e3, 1)
+                .float("sum_wall_ms", sum as f64 / 1e3, 1)
+                .float("lane_balance", r.lane_balance(), 2)
+                .int("tuples_consumed", r.tuples_consumed)
+                .int("tuples_streamed", r.tuples_streamed)
+        })
+        .collect();
+    if check && bound_sharded < bound_unsharded {
+        arms[0].gate_violations.push(format!(
+            "sharding worsened the speedup bound ({bound_unsharded:.2}x -> {bound_sharded:.2}x)"
         ));
     }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    format!(
-        "{{\n  \"bench\": \"shard sweep: oversized-cluster sharding vs lane balance (ATC-CL)\",\n  \"gate\": \"per-UQ answer multisets identical to the unsharded run at every shard cap (up to ties at the k-th score)\",\n  \"shard_threshold\": 1.0,\n  \"gate_ok\": {gate_ok},\n  \"atc_cl_speedup_bound_unsharded\": {:.2},\n  \"atc_cl_speedup_bound_sharded\": {:.2},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.bound_unsharded, sweep.bound_sharded,
-    )
+    Sweep {
+        bench: "Shard sweep: oversized-cluster sharding vs lane balance \
+                (ATC-CL reference workload, lane_threads = 1)"
+            .into(),
+        gate: "per-UQ answer multisets identical to the unsharded run at every shard cap (up to \
+               ties at the k-th score); with --check, sharding must not lower the speedup bound",
+        params: vec![
+            ("shard_threshold", Value::Float(1.0, 1)),
+            ("speedup_bound_unsharded", Value::Float(bound_unsharded, 2)),
+            ("speedup_bound_sharded", Value::Float(bound_sharded, 2)),
+        ],
+        arms,
+    }
 }
-
-// ---------------------------------------------------------------------------
-// Adaptive sweep: mid-flight re-optimization under drifting statistics
-// (BENCH_8.json).
-// ---------------------------------------------------------------------------
 
 /// How hard the adaptive bench's catalog lies: each relation's reported
 /// cardinality is `×0.25` or `×4` the truth (deterministic per-relation
@@ -2127,50 +1714,6 @@ pub const ADAPTIVE_STATS_ERROR: f64 = 0.25;
 /// roughly the same streams), which would leave re-optimization nothing
 /// to recover.
 pub const ADAPTIVE_SEED: u64 = 81;
-
-/// One arm of the adaptive sweep: a drift threshold (0.0 = the static
-/// baseline), the run, and the identity gate against that baseline.
-pub struct AdaptiveArm {
-    /// Arm name ("static", "drift>1.5x", …).
-    pub label: String,
-    /// The arm's `QSYS_ADAPT_DRIFT` ratio (0.0 = adaptive off).
-    pub drift: f64,
-    /// Full run report (adaptive counters under `report.adaptive`).
-    pub report: RunReport,
-    /// Queries whose answer multiset drifted from the static run.
-    pub gate_violations: usize,
-}
-
-/// The full sweep: a static baseline plus adaptive arms at a spread of
-/// drift thresholds, all over the same drift-heavy workload.
-pub struct AdaptiveSweep {
-    /// The catalog's stats-error multiplier (see [`ADAPTIVE_STATS_ERROR`]).
-    pub stats_error: f64,
-    /// Arms in sweep order (index 0 is the static baseline).
-    pub arms: Vec<AdaptiveArm>,
-}
-
-impl AdaptiveSweep {
-    /// Mean virtual response of the static baseline, µs.
-    pub fn mean_static_us(&self) -> f64 {
-        self.arms[0].report.mean_response_us()
-    }
-
-    /// The best adaptive arm's mean response, µs (the baseline's if no
-    /// adaptive arm beats it).
-    pub fn mean_best_us(&self) -> f64 {
-        self.arms
-            .iter()
-            .skip(1)
-            .map(|a| a.report.mean_response_us())
-            .fold(self.mean_static_us(), f64::min)
-    }
-
-    /// Total mid-batch replans across adaptive arms.
-    pub fn total_replans(&self) -> u64 {
-        self.arms.iter().map(|a| a.report.adaptive.replans).sum()
-    }
-}
 
 /// The drift-heavy GUS workload: the figure-scale script over a catalog
 /// whose priors are skewed to [`ADAPTIVE_STATS_ERROR`] × the truth. The
@@ -2191,261 +1734,140 @@ pub fn adaptive_workload(seed: u64) -> Workload {
     gus::generate(&cfg)
 }
 
-/// Session-driven run under an adaptive config, capturing per-ticket
-/// answers for the identity gate (sorted multisets — a re-planned lane
-/// may surface equal-score ties in a different order).
-fn adaptive_run(w: &Workload, adaptive: qsys::opt::AdaptiveConfig) -> (RunReport, ChaosAnswers) {
-    let mut cfg = gus_engine(SharingMode::AtcFull, 5);
-    cfg.lane_threads = 1;
-    cfg.adaptive = adaptive;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(t) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
-    }
-    engine.run_until_idle();
-    let answers = tickets
+/// Adaptive sweep (BENCH_8): static plans, then mid-flight re-planning at
+/// drift thresholds 1.25 / 1.5 / 2.0 on the drift-heavy workload. Gate:
+/// tie-aware answer identity with the static run at every threshold (a
+/// replan is a physical decision; the top-k must not move); with `check`,
+/// also at least one mid-batch replan and a best adaptive mean response
+/// below the static one.
+pub fn adaptive_sweep(seed: u64, check: bool) -> Sweep {
+    let w = adaptive_workload(seed);
+    let drifts = [0.0, 1.25, 1.5, 2.0];
+    let arms = drifts
         .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolves every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(s, tu)| (s.get().to_bits(), format!("{tu:?}")))
-                .collect();
-            tuples.sort();
-            (t.id(), (outcome, tuples))
+        .map(|&drift| {
+            let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+            cfg.lane_threads = 1;
+            if drift == 0.0 {
+                cfg.adaptive = qsys::opt::AdaptiveConfig::off();
+                return ("static".to_string(), cfg);
+            }
+            cfg.adaptive = qsys::opt::AdaptiveConfig::at(drift);
+            (format!("drift>{drift}x"), cfg)
         })
         .collect();
-    (engine.report(), answers)
-}
-
-/// Run the adaptive sweep: static baseline, then drift thresholds 1.25 /
-/// 1.5 / 2.0, gated on per-UQ answer-multiset identity with the static
-/// run (re-planning is a physical decision; the top-k must not move).
-pub fn adaptive_sweep(seed: u64) -> AdaptiveSweep {
-    let w = adaptive_workload(seed);
-    let (base_report, base) = adaptive_run(&w, qsys::opt::AdaptiveConfig::off());
-    let mut arms = vec![AdaptiveArm {
-        label: "static".into(),
-        drift: 0.0,
-        report: base_report,
-        gate_violations: 0,
-    }];
-    for drift in [1.25, 1.5, 2.0] {
-        let (report, answers) = adaptive_run(&w, qsys::opt::AdaptiveConfig::at(drift));
-        let gate_violations = shard_gate(&base, &answers);
-        arms.push(AdaptiveArm {
-            label: format!("drift>{drift}x"),
-            drift,
-            report,
-            gate_violations,
-        });
+    let rows = run_arms(&w, arms, drifted);
+    let mean_static = rows[0].1.mean_response_us();
+    let mean_best = rows[1..]
+        .iter()
+        .map(|(_, r)| r.mean_response_us())
+        .fold(mean_static, f64::min);
+    let total_replans: u64 = rows.iter().map(|(_, r)| r.adaptive.replans).sum();
+    let mut arms: Vec<Row> = rows
+        .into_iter()
+        .zip(drifts)
+        .map(|((row, r), drift)| {
+            let a = &r.adaptive;
+            row.float("drift_threshold", drift, 2)
+                .float("mean_response_us", r.mean_response_us(), 1)
+                .int("p99_response_us", r.response_percentile_us(99.0))
+                .int("drift_checks", a.drift_checks)
+                .int("replans", a.replans)
+                .int("replan_us", a.replan_us)
+                .int("cards_corrected", a.cards_corrected)
+                .int("tuples_consumed", r.tuples_consumed)
+                .int("tuples_streamed", r.tuples_streamed)
+        })
+        .collect();
+    if check && total_replans == 0 {
+        arms[0]
+            .gate_violations
+            .push("no adaptive arm re-planned mid-batch on the drift-heavy workload".into());
     }
-    AdaptiveSweep {
-        stats_error: ADAPTIVE_STATS_ERROR,
+    if check && mean_best >= mean_static {
+        arms[0].gate_violations.push(format!(
+            "re-planning did not improve mean response \
+             ({mean_static:.1}us static vs {mean_best:.1}us best adaptive)"
+        ));
+    }
+    Sweep {
+        bench: format!(
+            "Adaptive sweep: mid-flight re-optimization vs static plans \
+             (GUS, catalog priors at {:.0}% of true cardinality)",
+            ADAPTIVE_STATS_ERROR * 100.0
+        ),
+        gate: "per-UQ answer multisets identical to the static run at every drift threshold (up \
+               to ties at the k-th score); with --check, at least one replan and a best adaptive \
+               mean response below the static one",
+        params: vec![
+            ("stats_error", Value::Float(ADAPTIVE_STATS_ERROR, 2)),
+            ("mean_static_us", Value::Float(mean_static, 1)),
+            ("mean_best_adaptive_us", Value::Float(mean_best, 1)),
+            (
+                "mean_improvement_pct",
+                Value::Float(100.0 * (1.0 - mean_best / mean_static.max(1e-9)), 1),
+            ),
+            ("total_replans", Value::Int(total_replans)),
+        ],
         arms,
     }
 }
 
-/// Print the sweep as a table.
-pub fn print_adaptive(sweep: &AdaptiveSweep) {
-    println!(
-        "Adaptive sweep: mid-flight re-optimization vs static plans \
-         (GUS, catalog priors at {:.0}% of true cardinality)",
-        sweep.stats_error * 100.0
-    );
-    println!(
-        "{:>11} {:>12} {:>7} {:>8} {:>10} {:>10} {:>10} {:>5}",
-        "arm", "mean(ms)", "checks", "replans", "corrected", "replan(us)", "tuples", "gate"
-    );
-    for arm in &sweep.arms {
-        let a = &arm.report.adaptive;
-        println!(
-            "{:>11} {:>12.3} {:>7} {:>8} {:>10} {:>10} {:>10} {:>5}",
-            arm.label,
-            arm.report.mean_response_us() / 1e3,
-            a.drift_checks,
-            a.replans,
-            a.cards_corrected,
-            a.replan_us,
-            arm.report.tuples_consumed,
-            if arm.gate_violations == 0 {
-                "ok"
-            } else {
-                "FAIL"
-            },
-        );
-    }
-    let static_us = sweep.mean_static_us();
-    let best_us = sweep.mean_best_us();
-    println!(
-        "mean response: {:.3}ms static -> {:.3}ms best adaptive ({:+.1}%)",
-        static_us / 1e3,
-        best_us / 1e3,
-        100.0 * (best_us / static_us.max(1e-9) - 1.0),
-    );
-}
-
-/// Render the sweep as the repo's `BENCH_8.json` trajectory point.
-pub fn adaptive_json(sweep: &AdaptiveSweep) -> String {
-    let mut arms = String::new();
-    for (i, arm) in sweep.arms.iter().enumerate() {
-        if i > 0 {
-            arms.push_str(",\n");
-        }
-        let a = &arm.report.adaptive;
-        arms.push_str(&format!(
-            "    {{\n      \"arm\": \"{}\",\n      \"drift_threshold\": {},\n      \"mean_response_us\": {:.1},\n      \"p99_response_us\": {},\n      \"drift_checks\": {},\n      \"replans\": {},\n      \"replan_us\": {},\n      \"cards_corrected\": {},\n      \"tuples_consumed\": {},\n      \"tuples_streamed\": {},\n      \"gate_violations\": {}\n    }}",
-            arm.label,
-            arm.drift,
-            arm.report.mean_response_us(),
-            arm.report.response_percentile_us(99.0),
-            a.drift_checks,
-            a.replans,
-            a.replan_us,
-            a.cards_corrected,
-            arm.report.tuples_consumed,
-            arm.report.tuples_streamed,
-            arm.gate_violations,
-        ));
-    }
-    let gate_ok = sweep.arms.iter().all(|a| a.gate_violations == 0);
-    let static_us = sweep.mean_static_us();
-    let best_us = sweep.mean_best_us();
-    format!(
-        "{{\n  \"bench\": \"adaptive sweep: mid-flight re-optimization vs static plans (GUS, drift-heavy priors)\",\n  \"gate\": \"per-UQ answer multisets identical to the static run at every drift threshold (up to ties at the k-th score)\",\n  \"stats_error\": {},\n  \"gate_ok\": {gate_ok},\n  \"mean_static_us\": {static_us:.1},\n  \"mean_best_adaptive_us\": {best_us:.1},\n  \"mean_improvement_pct\": {:.1},\n  \"total_replans\": {},\n  \"arms\": [\n{arms}\n  ]\n}}\n",
-        sweep.stats_error,
-        100.0 * (1.0 - best_us / static_us.max(1e-9)),
-        sweep.total_replans(),
-    )
-}
-
-// ---------------------------------------------------------------------------
-// Invariant audit: the `reproduce verify` subcommand.
-// ---------------------------------------------------------------------------
-
-/// One audited engine run: an (arm × seed × lane-thread) combination, the
-/// verifier's findings over the live engine, and the findings over its
-/// reloaded on-disk snapshot.
-pub struct VerifyArm {
-    /// e.g. `"seed 41 / atc-cl / threads 4"`.
-    pub label: String,
-    /// Lanes the engine ended the run with.
-    pub lanes: usize,
-    /// Rendered violations from `Engine::verify` (empty = clean).
-    pub live: Vec<String>,
-    /// Rendered violations from the snapshot publish → reload → audit
-    /// round trip (empty = clean).
-    pub disk: Vec<String>,
-    /// Bytes the published snapshot occupied on disk.
-    pub snapshot_bytes: u64,
-}
-
-impl VerifyArm {
-    pub fn is_clean(&self) -> bool {
-        self.live.is_empty() && self.disk.is_empty()
-    }
-}
-
-/// The whole audit: every arm of `reproduce verify`.
-pub struct VerifyAudit {
-    pub arms: Vec<VerifyArm>,
-}
-
-impl VerifyAudit {
-    pub fn is_clean(&self) -> bool {
-        self.arms.iter().all(VerifyArm::is_clean)
-    }
-
-    pub fn total_violations(&self) -> usize {
-        self.arms.iter().map(|a| a.live.len() + a.disk.len()).sum()
-    }
-}
-
-/// Drive one engine over `w` under `cfg`, then audit it twice: the live
-/// structures via [`qsys::Engine::verify`], and the on-disk image via a
-/// snapshot publish → reload → verify round trip rooted at `dir`.
-fn audited_run(
-    label: String,
-    w: &Workload,
-    mut cfg: EngineConfig,
-    dir: &std::path::Path,
-) -> VerifyArm {
-    let snap_dir = dir.join(label.replace([' ', '/'], "_"));
-    let _ = std::fs::create_dir_all(&snap_dir);
-    // Publish only when asked: the audit wants exactly one image, written
-    // after the drain, not the auto-cadence mid-run partials.
-    cfg.snapshot_dir = Some(snap_dir);
-    cfg.snapshot_every = usize::MAX;
-    let mut engine = qsys::Engine::for_workload(w, cfg);
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        let _ = session.submit(&q.keywords, q.arrival_us);
-    }
-    engine.run_until_idle();
-    let live: Vec<String> = engine
-        .verify()
-        .violations
-        .iter()
-        .map(ToString::to_string)
-        .collect();
-    let (disk, snapshot_bytes) = match engine.snapshot() {
-        Ok(bytes) => {
-            let disk = match engine.audit_snapshot() {
-                Ok(report) => report.violations.iter().map(ToString::to_string).collect(),
-                Err(why) => vec![format!("snapshot reload failed: {why}")],
-            };
-            (disk, bytes)
-        }
-        Err(why) => (vec![format!("snapshot publish failed: {why}")], 0),
-    };
-    VerifyArm {
-        label,
-        lanes: engine.report().lane_summaries.len(),
-        live,
-        disk,
-        snapshot_bytes,
-    }
-}
-
-/// Run the invariant audit across the repo's standard arms: the default
-/// ATC-CL configuration on each seed at 1 and 4 lane threads, plus one
-/// sharded, one chaos (5% transient faults), and one adaptive arm — the
-/// configurations whose phase machinery (shard split, fault quarantine,
-/// mid-flight replans) exercises every invariant family the verifier
-/// checks. Snapshots round-trip through `dir`.
-pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> VerifyAudit {
+/// Invariant audit (`reproduce verify`): the default ATC-CL configuration
+/// on each seed at 1 and 4 lane threads, plus one sharded, one chaos (5%
+/// transient faults), and one adaptive arm — the configurations whose
+/// phase machinery (shard split, fault quarantine, mid-flight replans)
+/// exercises every invariant family the verifier checks. Each drained
+/// engine is audited twice: its live structures via
+/// [`qsys::Engine::verify`], and its on-disk image via a snapshot publish
+/// → reload → verify round trip rooted under `dir`. Gate: no violation.
+pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Sweep {
     let mut arms = Vec::new();
+    let mut audit = |label: String, w: &Workload, mut cfg: EngineConfig| {
+        let snap_dir = dir.join(label.replace([' ', '/'], "_"));
+        let _ = std::fs::create_dir_all(&snap_dir);
+        // Publish only when asked: the audit wants exactly one image,
+        // written after the drain, not the auto-cadence mid-run partials.
+        cfg.snapshot_dir = Some(snap_dir);
+        cfg.snapshot_every = usize::MAX;
+        let (mut engine, _) = qsys::drive_session(w, cfg, false);
+        let live: Vec<String> = engine
+            .verify()
+            .violations
+            .iter()
+            .map(|v| format!("live: {v}"))
+            .collect();
+        let (disk, snapshot_bytes) = match engine.snapshot() {
+            Ok(bytes) => match engine.audit_snapshot() {
+                Ok(report) => {
+                    let disk = report.violations.iter().map(|v| format!("disk: {v}"));
+                    (disk.collect(), bytes)
+                }
+                Err(why) => (vec![format!("disk: snapshot reload failed: {why}")], bytes),
+            },
+            Err(why) => (vec![format!("disk: snapshot publish failed: {why}")], 0),
+        };
+        let mut row = Row::new(label)
+            .int("lanes", engine.report().lane_summaries.len())
+            .int("snapshot_bytes", snapshot_bytes)
+            .int("live_violations", live.len())
+            .int("disk_violations", disk.len());
+        row.gate_violations = live.into_iter().chain(disk).collect();
+        arms.push(row);
+    };
     for &seed in seeds {
         let w = gus_workload(seed, scale);
         for threads in [1usize, 4] {
             let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig::default()), 5);
             cfg.lane_threads = threads;
-            arms.push(audited_run(
-                format!("seed {seed} / atc-cl / threads {threads}"),
-                &w,
-                cfg,
-                dir,
-            ));
+            audit(format!("seed {seed} / atc-cl / threads {threads}"), &w, cfg);
         }
         // Sharded arm: force clusters past the one-UQ-equivalent
         // threshold so the shard-partition invariants actually fire.
         let mut cfg = gus_engine(SharingMode::AtcCl(ClusterConfig::default()), 5);
-        let mut sharding = qsys::ShardConfig::at(1.0);
-        sharding.max_shards = 4;
-        cfg.sharding = sharding;
-        arms.push(audited_run(format!("seed {seed} / shard<=4"), &w, cfg, dir));
+        cfg.sharding = qsys::ShardConfig::at(1.0);
+        cfg.sharding.max_shards = 4;
+        audit(format!("seed {seed} / shard<=4"), &w, cfg);
         // Chaos arm: 5% transient faults — quarantine/degradation paths.
         let mut cfg = gus_engine(SharingMode::AtcFull, 5);
         cfg.faults = qsys::source::FaultSpec::parse(
@@ -2454,12 +1876,7 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
                 .build(),
         )
         .ok();
-        arms.push(audited_run(
-            format!("seed {seed} / chaos-5pct"),
-            &w,
-            cfg,
-            dir,
-        ));
+        audit(format!("seed {seed} / chaos-5pct"), &w, cfg);
     }
     // Adaptive arm: the drift-regime instance where replans genuinely
     // fire, so post-replan verification runs on a re-grafted graph.
@@ -2467,27 +1884,73 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Verif
     let mut cfg = gus_engine(SharingMode::AtcFull, 5);
     cfg.lane_threads = 1;
     cfg.adaptive = qsys::opt::AdaptiveConfig::at(1.25);
-    arms.push(audited_run("adaptive drift>1.25x".into(), &w, cfg, dir));
-    VerifyAudit { arms }
+    audit("adaptive drift>1.25x".into(), &w, cfg);
+    Sweep {
+        bench: "Invariant audit: live engine state and reloaded snapshots, per arm".into(),
+        gate: "every arm verifies clean, live and from its reloaded snapshot",
+        params: Vec::new(),
+        arms,
+    }
 }
 
-/// Print the audit as a table.
-pub fn print_verify(audit: &VerifyAudit) {
-    println!("Invariant audit: live engine state and reloaded snapshots, per arm");
-    println!("{:>34}  lanes  snapshot  live  disk", "arm");
-    for arm in &audit.arms {
-        println!(
-            "{:>34}  {:>5}  {:>7}B  {:>4}  {:>4}",
-            arm.label,
-            arm.lanes,
-            arm.snapshot_bytes,
-            arm.live.len(),
-            arm.disk.len(),
-        );
+/// Fetch-ahead sweep: the seed-`seed` GUS workload under ATC-FULL
+/// (optionally truncated to its first `limit` script queries) at
+/// `fetch_batch` 1 and each value of `batches`. Batching regroups stream
+/// reads into fewer network rounds without changing the tuple sequence,
+/// so the gate is that every arm answers exactly like `fetch_batch = 1`
+/// (tie-aware) and consumes the same number of tuples.
+pub fn fetch_batch_sweep(
+    seed: u64,
+    scale: Scale,
+    batches: &[usize],
+    limit: Option<usize>,
+) -> Sweep {
+    let mut w = gus_workload(seed, scale);
+    if let Some(n) = limit {
+        w.queries.truncate(n);
     }
-    for arm in &audit.arms {
-        for v in arm.live.iter().chain(&arm.disk) {
-            println!("  VIOLATION [{}] {v}", arm.label);
-        }
+    let batches: Vec<usize> = std::iter::once(1)
+        .chain(batches.iter().copied().filter(|&b| b != 1))
+        .collect();
+    let arms = batches
+        .iter()
+        .map(|&fetch_batch| {
+            let mut cfg = gus_engine(SharingMode::AtcFull, 5);
+            cfg.cost_profile.fetch_batch = fetch_batch;
+            (format!("fetch_batch={fetch_batch}"), cfg)
+        })
+        .collect();
+    let rows = run_arms(&w, arms, drifted);
+    let base_tuples = rows[0].1.tuples_consumed;
+    let base_us = rows[0].1.mean_response_us();
+    let arms = rows
+        .into_iter()
+        .zip(batches)
+        .map(|((mut row, r), fetch_batch)| {
+            if r.tuples_consumed != base_tuples {
+                row.gate_violations.push(format!(
+                    "consumed {} tuples vs {base_tuples} at fetch_batch=1",
+                    r.tuples_consumed
+                ));
+            }
+            let mean_us = r.mean_response_us();
+            row.int("fetch_batch", fetch_batch)
+                .float("mean_response_us", mean_us, 1)
+                .int("stream_rounds", r.stream_rounds)
+                .int("tuples_consumed", r.tuples_consumed)
+                .float(
+                    "resp_delta_pct",
+                    100.0 * (mean_us - base_us) / base_us.max(1e-9),
+                    1,
+                )
+        })
+        .collect();
+    Sweep {
+        bench: "Fetch-ahead sweep: response-time shift from stream fetch batching (GUS, ATC-FULL)"
+            .into(),
+        gate: "every fetch_batch answers like fetch_batch = 1 (up to ties at the k-th score) \
+               and consumes the same tuples",
+        params: Vec::new(),
+        arms,
     }
 }

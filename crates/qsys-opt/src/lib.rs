@@ -40,7 +40,9 @@ pub use bestplan::{BestPlanSearch, OptStats};
 pub use cluster::{cluster_user_queries, ClusterConfig};
 pub use cost::{CostModel, NoReuse, ReuseOracle};
 pub use heuristics::{enumerate_candidates, enumerate_candidates_warm, Candidate, HeuristicConfig};
-pub use plan::{CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind};
+pub use plan::{
+    opt_charge_us, CqPlan, Optimizer, OptimizerConfig, PlanSpec, PredSpec, SpecNode, SpecNodeKind,
+};
 pub use shard::{
     estimate_uq_cost, normalize_weights, shard_cluster, shard_cluster_affine, ShardConfig,
 };

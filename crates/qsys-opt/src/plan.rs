@@ -128,8 +128,15 @@ pub struct OptimizerConfig {
     /// ATC-UQ / ATC-FULL). When `false` (ATC-CQ), every conjunctive query
     /// is planned in isolation and nothing is merged.
     pub share_subexpressions: bool,
-    /// Simulated µs charged per BestPlan search state (drives Figure 11).
-    pub opt_step_us: u64,
+}
+
+/// Simulated µs charged per BestPlan search state (drives Figure 11).
+const OPT_STEP_US: u64 = 15;
+
+/// The simulated optimize charge, µs, of a search that explored
+/// `explored` states — on the virtual clock and in every `OptEvent`.
+pub fn opt_charge_us(explored: usize) -> u64 {
+    explored as u64 * OPT_STEP_US
 }
 
 impl Default for OptimizerConfig {
@@ -139,7 +146,6 @@ impl Default for OptimizerConfig {
             heuristics: HeuristicConfig::default(),
             cost_profile: CostProfile::default(),
             share_subexpressions: true,
-            opt_step_us: 15,
         }
     }
 }
@@ -265,10 +271,7 @@ impl<'a> Optimizer<'a> {
                     stats.warm_hits = 1;
                     stats.warm_fact_hits = 0;
                     if let Some(clock) = clock {
-                        clock.charge(
-                            TimeCategory::Optimize,
-                            stats.explored as u64 * self.config.opt_step_us,
-                        );
+                        clock.charge(TimeCategory::Optimize, opt_charge_us(stats.explored));
                     }
                     let spec = self.factorize(batch, &assignment, &model, &mut guard, &table);
                     return (spec, stats);
@@ -322,10 +325,7 @@ impl<'a> Optimizer<'a> {
             );
         }
         if let Some(clock) = clock {
-            clock.charge(
-                TimeCategory::Optimize,
-                stats.explored as u64 * self.config.opt_step_us,
-            );
+            clock.charge(TimeCategory::Optimize, opt_charge_us(stats.explored));
         }
         let spec = self.factorize(batch, &assignment, &model, &mut guard, &table);
         (spec, stats)

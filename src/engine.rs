@@ -488,14 +488,19 @@ impl EngineConfig {
     /// mismatch at load time rejects the snapshot before any state is
     /// admitted).
     pub(crate) fn warm_fingerprint(&self) -> String {
+        self.optimizer_config(batch_share(&self.sharing))
+            .warm_fingerprint()
+    }
+
+    /// The optimizer configuration this engine plans batches with, sharing
+    /// subexpressions across the batch or not.
+    pub fn optimizer_config(&self, share_subexpressions: bool) -> OptimizerConfig {
         OptimizerConfig {
             k: self.k,
             heuristics: self.heuristics.clone(),
             cost_profile: self.cost_profile,
-            share_subexpressions: batch_share(&self.sharing),
-            ..OptimizerConfig::default()
+            share_subexpressions,
         }
-        .warm_fingerprint()
     }
 }
 
@@ -687,14 +692,7 @@ pub(crate) fn graft_batch(
         .iter()
         .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
         .collect();
-    let opt_config = OptimizerConfig {
-        k: config.k,
-        heuristics: config.heuristics.clone(),
-        cost_profile: config.cost_profile,
-        share_subexpressions: share,
-        ..OptimizerConfig::default()
-    };
-    let optimizer = Optimizer::new(catalog, opt_config);
+    let optimizer = Optimizer::new(catalog, config.optimizer_config(share));
     let (spec, opt_stats) = {
         // The lane's shared interner: the spec's signature ids must be the
         // ones the manager's reuse index is keyed on. The warm store rides

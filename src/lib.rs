@@ -101,8 +101,9 @@ pub mod session;
 pub use engine::{ConfigError, EngineConfig, QSystem, SearchResult, SharingMode};
 pub use qsys_opt::shard::ShardConfig;
 pub use report::{
-    generate_user_queries, run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome,
-    RunReport, UqReport,
+    answer_drift, answers_equivalent, drive_session, fault_isolation_violations,
+    generate_user_queries, outage_victim, relation_readers, run_workload, Answers, FaultSummary,
+    LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport,
 };
 pub use session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
 
@@ -112,7 +113,8 @@ pub use session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
 pub mod prelude {
     pub use crate::engine::{ConfigError, EngineConfig, QSystem, SearchResult, SharingMode};
     pub use crate::report::{
-        run_workload, FaultSummary, LaneSummary, OptEvent, QueryOutcome, RunReport, UqReport,
+        drive_session, run_workload, Answers, FaultSummary, LaneSummary, OptEvent, QueryOutcome,
+        RunReport, UqReport,
     };
     pub use crate::session::{Engine, ProviderFactory, QueryTicket, Session, TicketStatus};
     pub use qsys_opt::shard::ShardConfig;

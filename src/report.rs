@@ -13,6 +13,15 @@
 //! golden keeps one canonical run-to-completion entry point — and it is
 //! bit-identical to the historical scripted runner by construction, since
 //! admission forms exactly the batches the old per-lane loop formed.
+//!
+//! The answer-identity contract — physical choices (threads, shards,
+//! replans, faults, restarts) never change answers — is checked with one
+//! set of pieces, shared by the `reproduce` sweeps and the identity
+//! suites: [`drive_session`] submits a script through per-user sessions
+//! and collects every ticket's [`Answers`]; [`answers_equivalent`] and
+//! [`answer_drift`] compare answers up to ties at the k-th score;
+//! [`fault_isolation_violations`] is the fault-isolation gate; and
+//! [`RunReport::identity_diff`] compares two runs' decisions.
 
 use crate::engine::EngineConfig;
 use crate::session::{Engine, QueryTicket};
@@ -21,6 +30,7 @@ use qsys_opt::AdaptiveSummary;
 use qsys_query::{CandidateGenerator, UserQuery};
 use qsys_types::{QsysError, QsysResult, RelId, TimeBreakdown, UqId, UserId};
 use qsys_workload::Workload;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// How one user query's execution ended. Every outcome other than
 /// [`QueryOutcome::Complete`] exists only when the caller used the
@@ -258,6 +268,43 @@ impl RunReport {
         self.per_uq.iter().find(|u| u.uq == uq)
     }
 
+    /// The first decision-relevant quantity on which two runs differ,
+    /// named with both values, or `None` when they are identical. It
+    /// compares lanes, tuples consumed and streamed, stream rounds,
+    /// probes and the virtual-time breakdown; per UQ the id, user, lane,
+    /// response time, result count, CQs executed and reused nodes; and per
+    /// optimizer event the batch CQs, candidates, explored states and
+    /// simulated optimize time. Host-time fields (`lane_wall_us`, lane
+    /// walls, snapshot and replan timings) never feed a decision and are
+    /// left out.
+    pub fn identity_diff(&self, other: &RunReport) -> Option<String> {
+        macro_rules! same {
+            ($at:expr, $a:expr, $b:expr; $($field:ident),+) => {$(
+                if $a.$field != $b.$field {
+                    let (at, a, b) = ($at, &$a.$field, &$b.$field);
+                    return Some(format!("{at}{}: {a:?} vs {b:?}", stringify!($field)));
+                }
+            )+};
+        }
+        same!("", self, other;
+            lanes, tuples_consumed, tuples_streamed, stream_rounds, probes, breakdown);
+        let lens = [
+            ("per_uq", self.per_uq.len(), other.per_uq.len()),
+            ("opt_events", self.opt_events.len(), other.opt_events.len()),
+        ];
+        if let Some((name, a, b)) = lens.into_iter().find(|(_, a, b)| a != b) {
+            return Some(format!("{name}.len: {a} vs {b}"));
+        }
+        for (i, (a, b)) in self.per_uq.iter().zip(&other.per_uq).enumerate() {
+            same!(format!("per_uq[{i}]."), a, b;
+                uq, user, lane, response_us, results, cqs_executed, reused_nodes);
+        }
+        for (i, (a, b)) in self.opt_events.iter().zip(&other.opt_events).enumerate() {
+            same!(format!("opt_events[{i}]."), a, b; batch_cqs, candidates, explored, opt_us);
+        }
+        None
+    }
+
     /// Σ/max lane-wall balance: 1.0 when one lane does all the work,
     /// approaching the lane count as walls even out — the quantity that
     /// bounds parallel lane speedup (and the lane-sharding target
@@ -351,6 +398,158 @@ pub fn run_workload(
     Ok(engine.report())
 }
 
+/// Which user queries read each relation (streamed or probed), from the
+/// workload's generated candidate networks: the ground truth for "reader
+/// of" in the fault-isolation checks.
+pub fn relation_readers(
+    workload: &Workload,
+    config: &EngineConfig,
+) -> QsysResult<BTreeMap<u32, BTreeSet<UqId>>> {
+    let (uqs, _) = generate_user_queries(workload, config)?;
+    let mut readers: BTreeMap<u32, BTreeSet<UqId>> = BTreeMap::new();
+    for uq in &uqs {
+        for (cq, _) in &uq.cqs {
+            for rel in cq.rels() {
+                readers.entry(rel.0).or_default().insert(uq.id);
+            }
+        }
+    }
+    Ok(readers)
+}
+
+/// The relation a hard-outage check takes dark, with its readers: the
+/// most-read relation that some queries still avoid (ties go to the
+/// lowest id), so the outage both bites and leaves bystanders to check.
+pub fn outage_victim(readers: &BTreeMap<u32, BTreeSet<UqId>>) -> Option<(u32, BTreeSet<UqId>)> {
+    let queries = readers.values().flatten().collect::<BTreeSet<_>>().len();
+    readers
+        .iter()
+        .filter(|(_, r)| r.len() < queries)
+        .max_by_key(|(rel, r)| (r.len(), std::cmp::Reverse(**rel)))
+        .map(|(rel, r)| (*rel, r.clone()))
+}
+
+/// Per ticket: how the query ended, plus its answers as `(score bits,
+/// tuple text)` in the order the engine returned them. Gates that compare
+/// multisets sort for themselves.
+pub type Answers = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
+
+/// The session driver: submit every script query through its user's
+/// [`Session`](crate::Session) with the query's edge costs, drain the
+/// engine, and collect every ticket's outcome and answers. With
+/// `step_each` the engine steps after every submission, so batches run
+/// the moment their admission window seals, interleaved with later
+/// arrivals. Script queries that match no candidate network get no
+/// ticket. The engine is returned for its report and audits.
+pub fn drive_session(
+    workload: &Workload,
+    config: EngineConfig,
+    step_each: bool,
+) -> (Engine, Answers) {
+    let mut engine = Engine::for_workload(workload, config);
+    let mut tickets = Vec::new();
+    for q in &workload.queries {
+        let mut session = engine.session(q.user);
+        if let Some(costs) = &q.edge_costs {
+            session = session.with_edge_costs(costs.clone());
+        }
+        if let Ok(ticket) = session.submit(&q.keywords, q.arrival_us) {
+            tickets.push(ticket);
+        }
+        if step_each {
+            engine.step();
+        }
+    }
+    engine.run_until_idle();
+    let answers = tickets
+        .iter()
+        .map(|t| {
+            // A drained engine resolves every ticket; one it did not is
+            // reported as failed, so every gate sees it.
+            let outcome = t.outcome().unwrap_or_else(|| QueryOutcome::Failed {
+                reason: "unresolved after the engine drained".into(),
+            });
+            let tuples = t
+                .take_results()
+                .unwrap_or_default()
+                .into_iter()
+                .map(|(score, tuple)| (score.get().to_bits(), format!("{tuple:?}")))
+                .collect();
+            (t.id(), (outcome, tuples))
+        })
+        .collect();
+    (engine, answers)
+}
+
+/// Tie-aware answer equivalence, in any order: score multisets match
+/// bit for bit, and every tuple scored strictly above the k-th (minimum
+/// returned) score matches exactly. Tuples *at* the boundary score only
+/// need matching counts: when more candidates tie at the cut than fit,
+/// the top-k set is inherently non-unique, and a different lane
+/// composition or read order may surface a different, equally ranked,
+/// tied subset.
+pub fn answers_equivalent(want: &[(u64, String)], got: &[(u64, String)]) -> bool {
+    if want.len() != got.len() {
+        return false;
+    }
+    let scores = |v: &[(u64, String)]| {
+        let mut s: Vec<u64> = v.iter().map(|(b, _)| *b).collect();
+        s.sort_unstable();
+        s
+    };
+    if scores(want) != scores(got) {
+        return false;
+    }
+    let boundary = want
+        .iter()
+        .map(|(b, _)| f64::from_bits(*b))
+        .fold(f64::INFINITY, f64::min);
+    fn above(v: &[(u64, String)], boundary: f64) -> Vec<&(u64, String)> {
+        let mut s: Vec<&(u64, String)> = v
+            .iter()
+            .filter(|(b, _)| f64::from_bits(*b) > boundary)
+            .collect();
+        s.sort();
+        s
+    }
+    above(want, boundary) == above(got, boundary)
+}
+
+/// The queries whose answers drifted between two runs: a different
+/// outcome, answers that are not [`answers_equivalent`], or a ticket only
+/// one run has.
+pub fn answer_drift(base: &Answers, arm: &Answers) -> Vec<UqId> {
+    let ids: BTreeSet<UqId> = base.keys().chain(arm.keys()).copied().collect();
+    ids.into_iter()
+        .filter(|uq| match (base.get(uq), arm.get(uq)) {
+            (Some(want), Some(got)) => want.0 != got.0 || !answers_equivalent(&want.1, &got.1),
+            _ => true,
+        })
+        .collect()
+}
+
+/// The fault-isolation gate, "no tuple loss on unfaulted relations": the
+/// queries of a faulted run that resolved `Complete` with answers not
+/// exactly equal, in returned order, to the fault-free `base`; and, when
+/// `faulted_readers` names the readers of a relation-scoped fault, every
+/// non-reader that did not resolve `Complete`.
+pub fn fault_isolation_violations(
+    base: &Answers,
+    arm: &Answers,
+    faulted_readers: Option<&BTreeSet<UqId>>,
+) -> Vec<UqId> {
+    arm.iter()
+        .filter(|(uq, (outcome, tuples))| {
+            if outcome.is_complete() {
+                base.get(uq).is_none_or(|(_, want)| want != tuples)
+            } else {
+                faulted_readers.is_some_and(|r| !r.contains(uq))
+            }
+        })
+        .map(|(uq, _)| *uq)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,5 +632,138 @@ mod tests {
         });
         assert_eq!(r.opt_us(), 165);
         assert_eq!(r.warm_hits(), 1);
+    }
+
+    fn answer(score: f64, text: &str) -> (u64, String) {
+        (score.to_bits(), text.to_string())
+    }
+
+    #[test]
+    fn answers_equivalent_allows_only_boundary_ties() {
+        let base = vec![answer(3.0, "a"), answer(2.0, "b"), answer(1.0, "c")];
+        // A different tuple at the boundary score, in another order.
+        let tie = vec![answer(1.0, "d"), answer(3.0, "a"), answer(2.0, "b")];
+        assert!(answers_equivalent(&base, &tie));
+        // A different tuple above the boundary, same scores.
+        let above = vec![answer(3.0, "a"), answer(2.0, "x"), answer(1.0, "c")];
+        assert!(!answers_equivalent(&base, &above));
+        let scores = vec![answer(3.0, "a"), answer(2.5, "b"), answer(1.0, "c")];
+        assert!(!answers_equivalent(&base, &scores));
+        assert!(!answers_equivalent(&base, &base[..2]));
+        assert!(answers_equivalent(&[], &[]));
+    }
+
+    fn sample_report() -> RunReport {
+        let mut r = RunReport {
+            lanes: 2,
+            tuples_consumed: 10,
+            tuples_streamed: 8,
+            stream_rounds: 8,
+            probes: 3,
+            lane_wall_us: vec![5, 7],
+            lane_summaries: vec![LaneSummary::default(); 2],
+            ..RunReport::default()
+        };
+        r.per_uq.push(line(0, 1, 100));
+        r.opt_events.push(OptEvent {
+            batch_cqs: 3,
+            candidates: 1,
+            explored: 10,
+            opt_us: 150,
+            warm_hits: 0,
+        });
+        r
+    }
+
+    #[test]
+    fn identity_diff_names_each_compared_field_and_ignores_host_time() {
+        let base = sample_report();
+        assert_eq!(base.identity_diff(&base.clone()), None);
+        type Perturb = fn(&mut RunReport);
+        let compared: [(&str, Perturb); 16] = [
+            ("lanes", |r| r.lanes += 1),
+            ("tuples_consumed", |r| r.tuples_consumed += 1),
+            ("tuples_streamed", |r| r.tuples_streamed += 1),
+            ("stream_rounds", |r| r.stream_rounds += 1),
+            ("probes", |r| r.probes += 1),
+            ("breakdown", |r| r.breakdown.join_us += 1),
+            ("per_uq[0].uq", |r| r.per_uq[0].uq = UqId::new(9)),
+            ("per_uq[0].user", |r| r.per_uq[0].user = UserId::new(9)),
+            ("per_uq[0].lane", |r| r.per_uq[0].lane = 1),
+            ("per_uq[0].response_us", |r| r.per_uq[0].response_us += 1),
+            ("per_uq[0].results", |r| r.per_uq[0].results += 1),
+            ("per_uq[0].cqs_executed", |r| r.per_uq[0].cqs_executed += 1),
+            ("per_uq[0].reused_nodes", |r| r.per_uq[0].reused_nodes += 1),
+            ("opt_events[0].batch_cqs", |r| {
+                r.opt_events[0].batch_cqs += 1
+            }),
+            ("opt_events[0].candidates", |r| {
+                r.opt_events[0].candidates += 1
+            }),
+            ("opt_events[0].explored", |r| r.opt_events[0].explored += 1),
+        ];
+        for (field, perturb) in compared {
+            let mut other = base.clone();
+            perturb(&mut other);
+            let diff = base.identity_diff(&other).unwrap_or_default();
+            assert!(
+                diff.starts_with(&format!("{field}:")),
+                "{field}: got {diff:?}"
+            );
+        }
+        let mut other = base.clone();
+        other.opt_events[0].opt_us += 15;
+        let diff = base.identity_diff(&other).unwrap_or_default();
+        assert!(diff.starts_with("opt_events[0].opt_us:"), "{diff:?}");
+
+        let mut host = base.clone();
+        host.lane_wall_us = vec![50, 70];
+        host.lane_threads = 4;
+        host.lane_summaries[0].wall_us = 99;
+        host.adaptive.replan_us = 12;
+        host.snapshot.load_us = 34;
+        host.opt_events[0].warm_hits = 1;
+        assert_eq!(base.identity_diff(&host), None);
+    }
+
+    #[test]
+    fn fault_isolation_flags_reordered_answers_and_collateral_degradation() {
+        let clean: Answers = [
+            (
+                UqId::new(0),
+                (
+                    QueryOutcome::Complete,
+                    vec![answer(2.0, "a"), answer(2.0, "b")],
+                ),
+            ),
+            (
+                UqId::new(1),
+                (QueryOutcome::Complete, vec![answer(1.0, "c")]),
+            ),
+        ]
+        .into_iter()
+        .collect();
+        let readers = BTreeSet::from([UqId::new(0)]);
+        assert!(fault_isolation_violations(&clean, &clean, Some(&readers)).is_empty());
+
+        let mut reordered = clean.clone();
+        if let Some((_, tuples)) = reordered.get_mut(&UqId::new(0)) {
+            tuples.reverse();
+        }
+        assert_eq!(
+            fault_isolation_violations(&clean, &reordered, None),
+            vec![UqId::new(0)]
+        );
+
+        let mut collateral = clean.clone();
+        if let Some((outcome, _)) = collateral.get_mut(&UqId::new(1)) {
+            *outcome = QueryOutcome::Degraded {
+                missing_rels: vec![RelId::new(3)],
+            };
+        }
+        assert_eq!(
+            fault_isolation_violations(&clean, &collateral, Some(&readers)),
+            vec![UqId::new(1)]
+        );
     }
 }

@@ -1446,7 +1446,7 @@ fn run_batch(
                     batch_cqs: uq.cqs.len(),
                     candidates: opt.candidates,
                     explored: opt.explored,
-                    opt_us: opt.explored as u64 * 15,
+                    opt_us: qsys_opt::opt_charge_us(opt.explored),
                     warm_hits: opt.warm_hits,
                 });
                 grafts.push((outcome, opt, vec![uq.id]));
@@ -1465,7 +1465,7 @@ fn run_batch(
                 batch_cqs: n_cqs,
                 candidates: opt.candidates,
                 explored: opt.explored,
-                opt_us: opt.explored as u64 * 15,
+                opt_us: qsys_opt::opt_charge_us(opt.explored),
                 warm_hits: opt.warm_hits,
             });
             let ids = uqs.iter().map(|uq| uq.id).collect();
@@ -1706,7 +1706,7 @@ fn adaptive_drive(
             batch_cqs: replanned.iter().map(|uq| uq.cqs.len()).sum(),
             candidates: opt.candidates,
             explored: opt.explored,
-            opt_us: opt.explored as u64 * 15,
+            opt_us: qsys_opt::opt_charge_us(opt.explored),
             warm_hits: opt.warm_hits,
         });
         lane.adaptive.summary.replans += 1;

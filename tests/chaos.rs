@@ -21,6 +21,7 @@ use qsys::prelude::*;
 use qsys::query::CandidateConfig;
 use qsys::source::FaultSpec;
 use qsys::types::UqId;
+use qsys::{outage_victim, relation_readers};
 use qsys_workload::faults::FaultPlan;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
@@ -55,58 +56,27 @@ fn engine_cfg(faults: Option<&str>) -> EngineConfig {
     }
 }
 
-/// Per-query outcome + exact answer fingerprint (score bits, tuple text).
-type Outcomes = BTreeMap<UqId, (QueryOutcome, Vec<(u64, String)>)>;
-
-fn run(w: &Workload, cfg: EngineConfig) -> (RunReport, Outcomes) {
-    let mut engine = Engine::for_workload(w, cfg);
-    let mut tickets = Vec::new();
-    for q in &w.queries {
-        if let Ok(t) = engine.session(q.user).submit(&q.keywords, q.arrival_us) {
-            tickets.push(t);
-        }
+fn run(w: &Workload, cfg: EngineConfig) -> (RunReport, Answers) {
+    let (engine, mut answers) = drive_session(w, cfg, false);
+    // Canonical order: equality below means identical answer *multisets*.
+    // Equal-score ties may legitimately arrive in a different order under
+    // the adaptive CI leg (a mid-batch re-plan reorders tie delivery
+    // without changing answers), and this file's contract is fault
+    // isolation, not tie order.
+    for (_, tuples) in answers.values_mut() {
+        tuples.sort_unstable();
     }
-    engine.run_until_idle();
-    let outcomes = tickets
-        .iter()
-        .map(|t| {
-            let outcome = t.outcome().expect("drained engine resolved every ticket");
-            let mut tuples: Vec<(u64, String)> = t
-                .take_results()
-                .unwrap_or_default()
-                .into_iter()
-                .map(|(score, tuple)| (score.get().to_bits(), format!("{tuple:?}")))
-                .collect();
-            // Canonical order: equality below means identical answer
-            // *multisets*. Equal-score ties may legitimately arrive in a
-            // different order under the adaptive CI leg (a mid-batch
-            // re-plan reorders tie delivery without changing answers),
-            // and this file's contract is fault isolation, not tie order.
-            tuples.sort_unstable();
-            (t.id(), (outcome, tuples))
-        })
-        .collect();
-    (engine.report(), outcomes)
+    (engine.report(), answers)
 }
 
-/// Which user queries read each relation (streamed or probed), from the
-/// generated candidate networks — the ground truth for "reader of".
+/// Which user queries read each relation (streamed or probed).
 fn rel_readers(w: &Workload) -> BTreeMap<u32, BTreeSet<UqId>> {
-    let (uqs, _) = qsys::generate_user_queries(w, &engine_cfg(None)).unwrap();
-    let mut readers: BTreeMap<u32, BTreeSet<UqId>> = BTreeMap::new();
-    for uq in &uqs {
-        for (cq, _) in &uq.cqs {
-            for rel in cq.rels() {
-                readers.entry(rel.0).or_default().insert(uq.id);
-            }
-        }
-    }
-    readers
+    relation_readers(w, &engine_cfg(None)).expect("workload generates")
 }
 
 /// Fault-free baseline, computed once for the whole file.
-fn baseline() -> &'static (RunReport, Outcomes) {
-    static BASE: OnceLock<(RunReport, Outcomes)> = OnceLock::new();
+fn baseline() -> &'static (RunReport, Answers) {
+    static BASE: OnceLock<(RunReport, Answers)> = OnceLock::new();
     BASE.get_or_init(|| {
         let w = workload();
         let out = run(&w, engine_cfg(None));
@@ -134,16 +104,10 @@ fn faults_default_off() {
 fn hard_outage_degrades_only_readers() {
     let w = workload();
     let (_, base) = baseline();
-    let readers = rel_readers(&w);
-    let total = base.len();
     // The most-read relation that some queries still avoid: guaranteed to
     // be fetched (so the outage actually fires) while leaving bystanders.
-    let (victim, victim_readers) = readers
-        .iter()
-        .filter(|(_, r)| r.len() < total)
-        .max_by_key(|(_, r)| r.len())
-        .map(|(rel, r)| (*rel, r.clone()))
-        .expect("a relation read by some but not all queries");
+    let (victim, victim_readers) =
+        outage_victim(&rel_readers(&w)).expect("a relation read by some but not all queries");
 
     let spec = FaultPlan::new(7).outage(victim, 0, None).build();
     let (report, faulted) = run(&w, engine_cfg(Some(&spec)));
@@ -189,14 +153,8 @@ fn hard_outage_degrades_only_readers() {
 #[test]
 fn lane_panic_is_contained() {
     let w = workload();
-    let readers = rel_readers(&w);
-    let total = baseline().1.len();
-    let (victim, _) = readers
-        .iter()
-        .filter(|(_, r)| r.len() < total)
-        .max_by_key(|(_, r)| r.len())
-        .map(|(rel, r)| (*rel, r.clone()))
-        .expect("a relation read by some but not all queries");
+    let (victim, _) =
+        outage_victim(&rel_readers(&w)).expect("a relation read by some but not all queries");
     let spec = FaultPlan::new(3).panic_on(victim).build();
     let cfg = EngineConfig {
         // Clustered lanes so the blast radius is visible: the paper's
@@ -280,10 +238,11 @@ fn cancel_and_deadline_resolve_tickets() {
     let mut engine = Engine::for_workload(&w, engine_cfg(None));
     let mut tickets = Vec::new();
     for q in &w.queries {
-        if let Ok(t) = engine
-            .session(q.user)
-            .submit_with_deadline(&q.keywords, 0, 1)
-        {
+        let mut session = engine.session(q.user);
+        if let Some(costs) = &q.edge_costs {
+            session = session.with_edge_costs(costs.clone());
+        }
+        if let Ok(t) = session.submit_with_deadline(&q.keywords, 0, 1) {
             tickets.push(t);
         }
         if tickets.len() == 3 {

@@ -4,7 +4,7 @@
 //! exact values the deep-`SubExprSig`-keyed implementation produced.
 
 use proptest::prelude::*;
-use qsys::opt::{NoReuse, Optimizer, OptimizerConfig};
+use qsys::opt::{NoReuse, Optimizer};
 use qsys::query::{SigCell, SigInterner, SubExprSig};
 use qsys::types::{RelId, Selection, Value};
 use qsys::SharingMode;
@@ -205,13 +205,7 @@ fn gus_batch_plan_shape_is_unchanged_by_interning() {
             .flat_map(|uq| uq.cqs.iter().map(|(cq, f)| (cq, f)))
             .collect();
         assert_eq!(batch.len(), cqs, "seed {seed}: batch size drifted");
-        let config = OptimizerConfig {
-            k: engine.k,
-            heuristics: engine.heuristics.clone(),
-            cost_profile: engine.cost_profile,
-            share_subexpressions: true,
-            ..OptimizerConfig::default()
-        };
+        let config = engine.optimizer_config(true);
         let optimizer = Optimizer::new(&workload.catalog, config);
         let interner = SigCell::new(SigInterner::new());
         let (spec, stats) = optimizer.optimize(&batch, &NoReuse, None, &interner);
@@ -275,13 +269,7 @@ fn warm_start_replays_bit_identical_decisions() {
             .collect();
         let repeat = batches[0].clone();
         batches.push(repeat);
-        let config = OptimizerConfig {
-            k: engine.k,
-            heuristics: engine.heuristics.clone(),
-            cost_profile: engine.cost_profile,
-            share_subexpressions: true,
-            ..OptimizerConfig::default()
-        };
+        let config = engine.optimizer_config(true);
         let run = |warm: bool| -> Vec<(String, usize, usize, usize, u64, usize)> {
             let optimizer = Optimizer::new(&workload.catalog, config.clone());
             let interner = SigCell::new(SigInterner::new());

@@ -10,7 +10,7 @@
 
 use qsys::opt::cluster::ClusterConfig;
 use qsys::query::CandidateConfig;
-use qsys::{run_workload, EngineConfig, RunReport, SharingMode};
+use qsys::{run_workload, EngineConfig, SharingMode};
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
@@ -59,49 +59,6 @@ fn adaptive_active() -> bool {
     EngineConfig::default().adaptive.enabled()
 }
 
-/// Every reported quantity except host wall times must match.
-fn assert_identical(seq: &RunReport, par: &RunReport, seed: u64) {
-    assert_eq!(seq.lanes, par.lanes, "seed {seed}: lane count");
-    assert_eq!(
-        seq.tuples_consumed, par.tuples_consumed,
-        "seed {seed}: tuples consumed"
-    );
-    assert_eq!(
-        seq.tuples_streamed, par.tuples_streamed,
-        "seed {seed}: tuples streamed"
-    );
-    assert_eq!(seq.probes, par.probes, "seed {seed}: remote probes");
-    assert_eq!(seq.breakdown, par.breakdown, "seed {seed}: virtual time");
-    assert_eq!(seq.per_uq.len(), par.per_uq.len(), "seed {seed}: UQ count");
-    for (a, b) in seq.per_uq.iter().zip(par.per_uq.iter()) {
-        assert_eq!(a.uq, b.uq, "seed {seed}");
-        assert_eq!(a.lane, b.lane, "seed {seed}: {} lane assignment", a.uq);
-        assert_eq!(
-            a.response_us, b.response_us,
-            "seed {seed}: {} virtual response time",
-            a.uq
-        );
-        assert_eq!(a.results, b.results, "seed {seed}: {} results", a.uq);
-        assert_eq!(
-            a.cqs_executed, b.cqs_executed,
-            "seed {seed}: {} CQs executed",
-            a.uq
-        );
-    }
-    // Sharing decisions: the optimizer must see the same reuse state in
-    // the same order on every lane regardless of scheduling.
-    assert_eq!(
-        seq.opt_events.len(),
-        par.opt_events.len(),
-        "seed {seed}: optimizer invocations"
-    );
-    for (a, b) in seq.opt_events.iter().zip(par.opt_events.iter()) {
-        assert_eq!(a.batch_cqs, b.batch_cqs, "seed {seed}: batch CQs");
-        assert_eq!(a.candidates, b.candidates, "seed {seed}: candidates");
-        assert_eq!(a.explored, b.explored, "seed {seed}: explored states");
-    }
-}
-
 #[test]
 fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
     // Golden (lanes, tuples_consumed) per seed: pinned so a clustering or
@@ -125,7 +82,11 @@ fn atc_cl_threaded_lanes_are_bit_identical_to_sequential() {
         for threads in [2usize, 4] {
             let par = run_workload(&w, &engine(threads), None).unwrap();
             assert_eq!(par.lane_threads, threads);
-            assert_identical(&seq, &par, seed);
+            assert_eq!(
+                seq.identity_diff(&par),
+                None,
+                "seed {seed}, {threads} threads"
+            );
         }
     }
 }

@@ -12,7 +12,6 @@
 
 use qsys::prelude::*;
 use qsys::query::CandidateConfig;
-use qsys::types::UqId;
 use qsys_workload::gus::{self, GusConfig};
 use qsys_workload::Workload;
 
@@ -61,78 +60,6 @@ fn adaptive_active() -> bool {
     EngineConfig::default().adaptive.enabled()
 }
 
-/// How the driver interleaves submission and execution.
-#[derive(Clone, Copy)]
-enum Drive {
-    /// Admit the whole script, then drain — the scripted driver's shape.
-    SubmitAllThenRun,
-    /// `step()` after every submission: batches execute the moment their
-    /// admission window seals, interleaved with later submissions.
-    SubmitOneStepOne,
-}
-
-/// Exact per-query answer fingerprint: every (score bits, join tuple).
-type Fingerprint = Vec<(UqId, Vec<(u64, String)>)>;
-
-fn run_session(w: &Workload, cfg: EngineConfig, drive: Drive) -> (RunReport, Fingerprint) {
-    let mut engine = Engine::for_workload(w, cfg);
-    let mut tickets: Vec<QueryTicket> = Vec::new();
-    for q in &w.queries {
-        let mut session = engine.session(q.user);
-        if let Some(costs) = &q.edge_costs {
-            session = session.with_edge_costs(costs.clone());
-        }
-        if let Ok(ticket) = session.submit(&q.keywords, q.arrival_us) {
-            tickets.push(ticket);
-        }
-        if matches!(drive, Drive::SubmitOneStepOne) {
-            engine.step();
-        }
-    }
-    engine.run_until_idle();
-    let fp: Fingerprint = tickets
-        .iter()
-        .map(|t| {
-            assert_eq!(t.poll(), TicketStatus::Completed, "{:?} unfinished", t);
-            let results = t
-                .take_results()
-                .expect("drained engine published results")
-                .into_iter()
-                .map(|(score, tuple)| (score.get().to_bits(), format!("{tuple:?}")))
-                .collect();
-            (t.id(), results)
-        })
-        .collect();
-    (engine.report(), fp)
-}
-
-/// Every reported quantity except host wall times must match.
-fn assert_reports_identical(a: &RunReport, b: &RunReport, label: &str) {
-    assert_eq!(a.lanes, b.lanes, "{label}: lane count");
-    assert_eq!(a.tuples_consumed, b.tuples_consumed, "{label}: tuples");
-    assert_eq!(a.tuples_streamed, b.tuples_streamed, "{label}: streamed");
-    assert_eq!(a.stream_rounds, b.stream_rounds, "{label}: rounds");
-    assert_eq!(a.probes, b.probes, "{label}: probes");
-    assert_eq!(a.breakdown, b.breakdown, "{label}: virtual time");
-    assert_eq!(a.per_uq.len(), b.per_uq.len(), "{label}: UQ count");
-    for (x, y) in a.per_uq.iter().zip(b.per_uq.iter()) {
-        assert_eq!(x.uq, y.uq, "{label}");
-        assert_eq!(x.user, y.user, "{label}: {} user", x.uq);
-        assert_eq!(x.lane, y.lane, "{label}: {} lane", x.uq);
-        assert_eq!(x.response_us, y.response_us, "{label}: {} response", x.uq);
-        assert_eq!(x.results, y.results, "{label}: {} results", x.uq);
-        assert_eq!(x.cqs_executed, y.cqs_executed, "{label}: {} CQs", x.uq);
-        assert_eq!(x.reused_nodes, y.reused_nodes, "{label}: {} reuse", x.uq);
-    }
-    assert_eq!(a.opt_events.len(), b.opt_events.len(), "{label}: opt count");
-    for (x, y) in a.opt_events.iter().zip(b.opt_events.iter()) {
-        assert_eq!(x.batch_cqs, y.batch_cqs, "{label}: batch CQs");
-        assert_eq!(x.candidates, y.candidates, "{label}: candidates");
-        assert_eq!(x.explored, y.explored, "{label}: explored");
-        assert_eq!(x.opt_us, y.opt_us, "{label}: opt cost");
-    }
-}
-
 #[test]
 fn interleaved_submission_is_bit_identical_to_scripted_runs() {
     // Golden (tuples_consumed, total results) per seed: pinned so a
@@ -145,8 +72,17 @@ fn interleaved_submission_is_bit_identical_to_scripted_runs() {
             let label = format!("seed {seed}, lane_threads {lane_threads}");
             let scripted =
                 run_workload(&w, &engine_cfg(lane_threads), None).expect("workload runs");
-            let (all, fp_all) = run_session(&w, engine_cfg(lane_threads), Drive::SubmitAllThenRun);
-            let (one, fp_one) = run_session(&w, engine_cfg(lane_threads), Drive::SubmitOneStepOne);
+            // Submit the whole script, then drain — the scripted shape;
+            // and step after every submission, so batches execute the
+            // moment their admission window seals, interleaved with later
+            // submissions.
+            let (all, fp_all) = drive_session(&w, engine_cfg(lane_threads), false);
+            let (one, fp_one) = drive_session(&w, engine_cfg(lane_threads), true);
+            let (all, one) = (all.report(), one.report());
+            for (uq, (_, answers)) in &fp_all {
+                let line = all.per_uq_id(*uq).expect("every ticket is reported");
+                assert_eq!(answers.len(), line.results, "{label}: {uq} published");
+            }
 
             if !chaos_active() && !adaptive_active() {
                 assert_eq!(all.tuples_consumed, tuples, "{label}: golden tuples");
@@ -154,8 +90,12 @@ fn interleaved_submission_is_bit_identical_to_scripted_runs() {
                 assert_eq!(total, results, "{label}: golden result count");
             }
 
-            assert_reports_identical(&scripted, &all, &format!("{label}: scripted vs all"));
-            assert_reports_identical(&all, &one, &format!("{label}: all vs stepped"));
+            assert_eq!(
+                scripted.identity_diff(&all),
+                None,
+                "{label}: scripted vs all"
+            );
+            assert_eq!(all.identity_diff(&one), None, "{label}: all vs stepped");
             assert_eq!(
                 fp_all, fp_one,
                 "{label}: interleaving changed an answer tuple or score"

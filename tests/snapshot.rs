@@ -91,13 +91,7 @@ impl Primed {
         let w = workload(seed);
         let cfg = engine_cfg(None);
         let (uqs, _) = qsys::generate_user_queries(&w, &cfg).expect("candidates generate");
-        let opt_config = OptimizerConfig {
-            k: cfg.k,
-            heuristics: cfg.heuristics.clone(),
-            cost_profile: cfg.cost_profile,
-            share_subexpressions: true,
-            ..OptimizerConfig::default()
-        };
+        let opt_config = cfg.optimizer_config(true);
         let batches: Vec<Vec<(ConjunctiveQuery, ScoreFn)>> = uqs
             .chunks(5)
             .take(3)
@@ -271,17 +265,7 @@ fn engine_restart_replays_warm_and_stays_identical() {
         !baseline.snapshot.attempted,
         "persistence-off engine looked for a snapshot"
     );
-    for (a, b) in restarted.per_uq.iter().zip(&baseline.per_uq) {
-        assert_eq!(a.uq, b.uq);
-        assert_eq!(a.results, b.results, "uq {:?}: result count diverged", a.uq);
-        assert_eq!(
-            a.response_us, b.response_us,
-            "uq {:?}: virtual response time diverged",
-            a.uq
-        );
-        assert_eq!(a.cqs_executed, b.cqs_executed);
-    }
-    assert_eq!(restarted.tuples_consumed, baseline.tuples_consumed);
+    assert_eq!(restarted.identity_diff(&baseline), None);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
