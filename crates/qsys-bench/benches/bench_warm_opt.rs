@@ -5,7 +5,7 @@
 //! live manager whose warm store recorded the stream on a priming pass, so
 //! every batch replays its winning assignment. Before timing anything, the
 //! bench asserts the two arms' plans and statistics are bit-identical —
-//! the decision-identity check the CI bench smoke runs on every push.
+//! the decision-identity check the CI micro-bench smoke runs on every push.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qsys::generate_user_queries;

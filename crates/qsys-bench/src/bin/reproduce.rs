@@ -44,13 +44,13 @@
 //!   violation.
 //! - `fetch-batch [--batches 4,8,32] [--limit N]` — stream fetch-ahead at
 //!   each `fetch_batch` against `fetch_batch = 1`. Gate: identical answers
-//!   (tie-aware) and tuples consumed.
+//!   (tie-aware) and tuples consumed; on the reference instance (seed 41,
+//!   small scale, no `--limit`) `fetch_batch = 1` must also consume the
+//!   golden tuple count in the golden number of stream rounds.
 //!
-//! Perf: `bench [--iters N] [--baseline FILE] [--out FILE]` — measure the
-//! optimizer+graft hot path, end-to-end throughput, and the
-//! sequential-vs-threaded multi-cluster ATC-CL comparison, and emit the
-//! repo's `BENCH_*.json` trajectory point (optionally embedding a baseline
-//! snapshot recorded before an optimization landed).
+//! All of the above report virtual-clock results. Host time is measured
+//! by the repo benchmark in `perfbench/` (see its README), and
+//! `scripts/ab.sh` runs it as a same-machine A/B against a base revision.
 //!
 //! Every subcommand accepts `--lane-threads N` to cap how many ATC-CL
 //! lanes execute concurrently (default: the machine's parallelism; the
@@ -71,16 +71,12 @@ fn main() {
     // The paper used 4 synthetic instances; seeds play that role.
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|i| 41 + i * 7).collect();
     // `--lane-threads N`: cap on concurrently executing ATC-CL lanes for
-    // every experiment and the bench's parallel arm (the flag equivalent
-    // of `QSYS_LANE_THREADS`).
-    let lane_threads: Option<usize> = flag_value(&args, "--lane-threads").map(|s| {
-        s.parse().unwrap_or_else(|_| {
+    // every experiment (the flag equivalent of `QSYS_LANE_THREADS`).
+    if let Some(s) = flag_value(&args, "--lane-threads") {
+        set_lane_threads(s.parse().unwrap_or_else(|_| {
             eprintln!("--lane-threads wants a positive integer");
             std::process::exit(2);
-        })
-    });
-    if let Some(n) = lane_threads {
-        set_lane_threads(n);
+        }));
     }
 
     let check = args.iter().any(|a| a == "--check");
@@ -88,159 +84,6 @@ fn main() {
     println!("# scale: {scale:?} | instance seeds: {seeds:?} | virtual-clock results\n");
     let t0 = std::time::Instant::now();
     match what {
-        "bench" => {
-            let iters: usize = flag_value(&args, "--iters")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(20);
-            // Validate the baseline fully before the (minutes-long)
-            // measurement. Without `--baseline-section`, the file must be a
-            // bare snapshot object, as written by a `bench --out` run
-            // without `--baseline` — a combined before/after file would
-            // silently be compared against its embedded (oldest) snapshot.
-            // With `--baseline-section after` (the BENCH_N.json chaining
-            // case), that named sub-object is validated and used instead.
-            let section = flag_value(&args, "--baseline-section");
-            if section.is_some() && flag_value(&args, "--baseline").is_none() {
-                eprintln!("--baseline-section requires --baseline");
-                std::process::exit(2);
-            }
-            let baseline = flag_value(&args, "--baseline").map(|path| {
-                let text = match std::fs::read_to_string(&path) {
-                    Ok(s) => s.trim().to_string(),
-                    Err(e) => {
-                        eprintln!("cannot read baseline {path}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                let snapshot_text = match &section {
-                    Some(key) => match extract_json_object(&text, key) {
-                        Some(obj) => obj,
-                        None => {
-                            eprintln!("baseline {path} has no \"{key}\" object");
-                            std::process::exit(2);
-                        }
-                    },
-                    None => {
-                        if text.contains("\"before\"") {
-                            eprintln!(
-                                "baseline {path} is a combined before/after file; pass a bare \
-                                 snapshot, or select a section with --baseline-section"
-                            );
-                            std::process::exit(2);
-                        }
-                        text
-                    }
-                };
-                match BaselineRef::parse(&snapshot_text) {
-                    Some(b) => (snapshot_text, b),
-                    None => {
-                        eprintln!(
-                            "baseline {path} is missing required fields (opt_graft_us, \
-                             optimize_us, spec shape, batch_cqs, tuples_consumed)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            });
-            let snapshot = perf_snapshot(iters, lane_threads);
-            let after = snapshot.to_json();
-            println!("after: {after}");
-            if !snapshot.atc_cl_identical {
-                eprintln!(
-                    "CHECK FAILED: threaded ATC-CL lanes diverged from the sequential run \
-                     (results must be bit-identical at any lane_threads)"
-                );
-                std::process::exit(1);
-            }
-            if !snapshot.warm_identical {
-                eprintln!(
-                    "CHECK FAILED: warm-started optimizer diverged from a cold optimizer \
-                     (the warm store is a cache — decisions must be bit-identical)"
-                );
-                std::process::exit(1);
-            }
-            if !snapshot.session_api_identical {
-                eprintln!(
-                    "CHECK FAILED: incremental Engine/Session admission diverged from the \
-                     scripted run_workload driver (admission timing must be a scheduling \
-                     freedom, never a semantic one)"
-                );
-                std::process::exit(1);
-            }
-            let mut decisions_ok = true;
-            let json = match &baseline {
-                Some((before, b)) => {
-                    decisions_ok = b.decisions_match(&snapshot);
-                    if !decisions_ok {
-                        eprintln!(
-                            "WARNING: sharing decisions differ from the baseline \
-                             (spec shape / batch / tuples changed — not a pure perf delta)"
-                        );
-                    }
-                    let reduction =
-                        100.0 * (1.0 - snapshot.opt_graft_us() / b.opt_graft_us.max(1e-9));
-                    let opt_reduction =
-                        100.0 * (1.0 - snapshot.optimize_us / b.optimize_us.max(1e-9));
-                    // The headline of the warm-start work: a warm batch's
-                    // optimize time against the baseline's cold figure.
-                    let warm_vs_baseline =
-                        100.0 * (1.0 - snapshot.warm_optimize_us / b.optimize_us.max(1e-9));
-                    format!(
-                        "{{\n  \"bench\": \"optimizer+graft hot path (GUS seed 41, batch of 5 UQs) and end-to-end ATC-FULL workload\",\n  \"machine_note\": \"before/after measured back-to-back on the same machine and build flags\",\n  \"iters\": {iters},\n  \"before\": {before},\n  \"after\": {after},\n  \"optimize_reduction_pct\": {opt_reduction:.1},\n  \"opt_graft_reduction_pct\": {reduction:.1},\n  \"warm_optimize_vs_baseline_reduction_pct\": {warm_vs_baseline:.1}\n}}\n"
-                    )
-                }
-                // No baseline: emit the bare snapshot, usable as the
-                // baseline of a future run.
-                None => format!("{after}\n"),
-            };
-            if let Some(path) = flag_value(&args, "--out") {
-                std::fs::write(&path, &json).expect("write bench output");
-                eprintln!("wrote {path}");
-            } else {
-                println!("{json}");
-            }
-            // `--check`: regression gate. Sharing decisions must be
-            // identical to the baseline — that part is deterministic and
-            // always enforced. Wall time is gated only when the caller
-            // opts in with `--max-regression-pct` (absolute µs are only
-            // comparable against a baseline measured on the same machine,
-            // so CI — whose baseline file comes from a dev machine —
-            // checks decisions only).
-            if check {
-                let Some((_, b)) = &baseline else {
-                    eprintln!("--check requires --baseline");
-                    std::process::exit(2);
-                };
-                let regression = 100.0 * (snapshot.opt_graft_us() / b.opt_graft_us.max(1e-9) - 1.0);
-                if !decisions_ok {
-                    eprintln!("CHECK FAILED: sharing decisions changed vs baseline");
-                    std::process::exit(1);
-                }
-                match flag_value(&args, "--max-regression-pct").map(|s| s.parse::<f64>()) {
-                    Some(Ok(max_regression)) => {
-                        if regression > max_regression {
-                            eprintln!(
-                                "CHECK FAILED: opt+graft regressed {regression:.1}% vs baseline \
-                                 (allowed {max_regression:.1}%)"
-                            );
-                            std::process::exit(1);
-                        }
-                        eprintln!(
-                            "check ok: decisions identical, opt+graft delta {regression:+.1}% \
-                             (allowed +{max_regression:.1}%)"
-                        );
-                    }
-                    Some(Err(_)) => {
-                        eprintln!("--max-regression-pct wants a number");
-                        std::process::exit(2);
-                    }
-                    None => eprintln!(
-                        "check ok: decisions identical (wall time not gated; \
-                         opt+graft delta {regression:+.1}%)"
-                    ),
-                }
-            }
-        }
         // The sweeps: each returns one `Sweep` (named arms, one row type),
         // printed as a table, optionally written as JSON with `--out FILE`,
         // and exit 1 when any arm violates the sweep's gate.
@@ -387,7 +230,7 @@ fn main() {
         }
         other => {
             eprintln!("unknown experiment '{other}'");
-            eprintln!("choose: all bench chaos shard adaptive restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
+            eprintln!("choose: all chaos shard adaptive restart verify fetch-batch table4 fig7 fig8 fig9 fig10 fig11 fig12 ablation-atc ablation-recovery ablation-eviction ablation-probe-cache");
             std::process::exit(2);
         }
     }
@@ -417,77 +260,4 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter()
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1).cloned())
-}
-
-/// The baseline fields the bench validates before measuring and gates on
-/// after: the hot-path numbers plus every sharing-decision invariant.
-struct BaselineRef {
-    opt_graft_us: f64,
-    optimize_us: f64,
-    spec_nodes: f64,
-    spec_edges: f64,
-    spec_stream_leaves: f64,
-    batch_cqs: f64,
-    tuples_consumed: f64,
-}
-
-impl BaselineRef {
-    fn parse(json: &str) -> Option<BaselineRef> {
-        Some(BaselineRef {
-            opt_graft_us: extract_json_number(json, "opt_graft_us")?,
-            optimize_us: extract_json_number(json, "optimize_us")?,
-            spec_nodes: extract_json_number(json, "spec_nodes")?,
-            spec_edges: extract_json_number(json, "spec_edges")?,
-            spec_stream_leaves: extract_json_number(json, "spec_stream_leaves")?,
-            batch_cqs: extract_json_number(json, "batch_cqs")?,
-            tuples_consumed: extract_json_number(json, "tuples_consumed")?,
-        })
-    }
-
-    /// Whether the measured run made the same sharing decisions (plan
-    /// shape, batch size, total work) the baseline recorded.
-    fn decisions_match(&self, s: &qsys_bench::PerfSnapshot) -> bool {
-        self.spec_nodes as usize == s.spec_nodes
-            && self.spec_edges as usize == s.spec_edges
-            && self.spec_stream_leaves as usize == s.spec_stream_leaves
-            && self.batch_cqs as usize == s.batch_cqs
-            && self.tuples_consumed as u64 == s.tuples_consumed
-    }
-}
-
-/// Pull `"key": <number>` out of a flat JSON object (no JSON dependency in
-/// this build environment).
-fn extract_json_number(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\"");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start().strip_prefix(':')?.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == '+'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull the balanced-brace object at `"key": {…}` out of a JSON document
-/// (enough JSON to chain `BENCH_N.json` files without a parser crate).
-fn extract_json_object(json: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\"");
-    let start = json.find(&pat)? + pat.len();
-    let rest = json[start..].trim_start().strip_prefix(':')?.trim_start();
-    if !rest.starts_with('{') {
-        return None;
-    }
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].to_string());
-                }
-            }
-            _ => {}
-        }
-    }
-    None
 }

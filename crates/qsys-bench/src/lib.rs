@@ -116,94 +116,8 @@ pub fn pfam_engine(mode: SharingMode) -> EngineConfig {
 }
 
 // ---------------------------------------------------------------------------
-// Perf snapshot: the repo's benchmark trajectory (BENCH_*.json).
+// Optimizer decision fingerprints and the ATC-CL reference workload.
 // ---------------------------------------------------------------------------
-
-/// One measured point of the hot path, plus the plan shape it produced.
-///
-/// `spec_*` pin the optimizer's *sharing decisions* (PlanSpec node / edge /
-/// leaf counts) so that representation changes — like rekeying the sharing
-/// structures on interned signature ids — can be verified decision-neutral.
-#[derive(Clone, Debug)]
-pub struct PerfSnapshot {
-    /// Mean wall-clock µs per `Optimizer::optimize` call (reference batch).
-    pub optimize_us: f64,
-    /// Mean wall-clock µs per `QsManager::graft` of the resulting spec.
-    pub graft_us: f64,
-    /// Mean wall-clock µs per combined optimize+graft cycle over a warm
-    /// manager (includes reuse-oracle and sig-index lookups).
-    pub opt_graft_warm_us: f64,
-    /// PlanSpec node count for the reference batch.
-    pub spec_nodes: usize,
-    /// PlanSpec edge count (join-input edges + one root edge per CQ).
-    pub spec_edges: usize,
-    /// Shared stream-leaf count in the reference spec.
-    pub spec_stream_leaves: usize,
-    /// CQ count of the reference batch.
-    pub batch_cqs: usize,
-    /// BestPlan states explored for the reference batch (search-space
-    /// shape, independent of wall time — the trajectory should show the
-    /// state count holding steady while µs/state falls).
-    pub explored: usize,
-    /// BestPlan memo hits for the reference batch.
-    pub memo_hits: usize,
-    /// Wall-clock ms for the full GUS workload end to end (ATC-FULL).
-    pub end_to_end_ms: f64,
-    /// Input tuples consumed by the end-to-end run.
-    pub tuples_consumed: u64,
-    /// Tuples consumed per wall-clock second end to end.
-    pub tuples_per_sec: f64,
-    /// Host threads available to the measurement (`available_parallelism`);
-    /// a 1 here means the parallel arm below could only time-slice.
-    pub host_parallelism: usize,
-    /// Lane-thread cap the parallel ATC-CL arm ran under.
-    pub lane_threads: usize,
-    /// Lanes (clustered plan graphs) of the multi-cluster ATC-CL workload.
-    pub atc_cl_lanes: usize,
-    /// Wall-clock ms for the multi-cluster ATC-CL workload, lanes strictly
-    /// sequential (`lane_threads = 1`).
-    pub atc_cl_seq_ms: f64,
-    /// Same workload with lanes on `lane_threads` worker threads.
-    pub atc_cl_par_ms: f64,
-    /// Upper bound on lane-parallel speedup for this workload, from the
-    /// sequential arm's per-lane wall times (Σ / max): what
-    /// `lane_threads ≥ lanes` approaches on a host with at least that many
-    /// cores. On a single-core host the measured `atc_cl_par_ms` cannot
-    /// reach this — compare it with `host_parallelism` when reading.
-    pub atc_cl_speedup_bound: f64,
-    /// Whether the parallel arm consumed bit-identical tuples and produced
-    /// identical per-UQ statistics to the sequential arm (must be true —
-    /// threading changes wall time, never results).
-    pub atc_cl_identical: bool,
-    /// Whether driving the figure workload incrementally through the
-    /// sessionized `Engine`/`Session` API (submit one, step one) produced
-    /// bit-identical per-UQ statistics and optimizer decisions to the
-    /// scripted `run_workload` driver (must be true — admission timing is
-    /// a scheduling freedom, never a semantic one).
-    pub session_api_identical: bool,
-    /// Tuples consumed by the ATC-CL workload (same in both arms).
-    pub atc_cl_tuples: u64,
-    /// Host wall-clock µs per lane in the parallel arm, by lane index.
-    pub lane_wall_us: Vec<u64>,
-    /// Mean wall-clock µs per `Optimizer::optimize_warm` call on a *warm*
-    /// batch: the reference batch re-optimized against a lane whose warm
-    /// store already recorded it (shape + residency validate → the winning
-    /// assignment replays; compare with `optimize_us`, the cold figure).
-    pub warm_optimize_us: f64,
-    /// Warm-plan replays observed during the warm measurement (one per
-    /// iteration when the memo behaves).
-    pub warm_plan_hits: usize,
-    /// Whether a warm-started optimizer produced bit-identical plans and
-    /// statistics to a cold optimizer over a multi-batch GUS stream (must
-    /// be true — the warm store is a cache, never a policy change).
-    pub warm_identical: bool,
-    /// Simulated stream-read network rounds of the end-to-end run
-    /// (`Sources::stream_rounds`, summed over lanes).
-    pub stream_rounds: u64,
-    /// Fetch-ahead sweep over the figure workload: how response time and
-    /// network rounds shift with `CostProfile::fetch_batch`.
-    pub fetch_batch_sweep: Sweep,
-}
 
 /// One batch's decision fingerprint, as produced by
 /// [`optimize_decision_stream`]: everything the optimizer decided plus the
@@ -250,12 +164,10 @@ impl DecisionRow {
 }
 
 /// Optimize a stream of batches against one live QS manager — warm-started
-/// or cold — and fingerprint every batch's decisions. This is **the**
-/// warm-vs-cold identity harness: [`warm_cold_identity`] (the `reproduce
-/// bench` gate) and `bench_warm_opt` (the CI micro-bench smoke) both
-/// compare its warm and cold outputs, so the two gates enforce one
-/// invariant by construction. The manager is returned so the restart
-/// sweep can snapshot its warm state.
+/// or cold — and fingerprint every batch's decisions. `bench_warm_opt`
+/// (the CI micro-bench smoke) compares its warm and cold outputs before
+/// timing anything. The manager is returned so the restart sweep can
+/// snapshot its warm state.
 pub fn optimize_decision_stream(
     catalog: &qsys::catalog::Catalog,
     opt_config: &OptimizerConfig,
@@ -289,41 +201,6 @@ pub fn batch_of(uqs: &[qsys::query::UserQuery]) -> Batch<'_> {
         .collect()
 }
 
-/// Outcome of the warm-vs-cold decision-identity check.
-pub struct WarmCheck {
-    /// Plans, costs, explored-state counts, and memo hits all
-    /// bit-identical per batch.
-    pub identical: bool,
-    /// Warm-plan replays the warm lane produced (> 0 once a batch shape
-    /// recurs).
-    pub plan_hits: usize,
-}
-
-/// Drive the first three 5-UQ batches of the seed-41 GUS stream — plus a
-/// repeat of the first batch, so the plan memo actually replays — through
-/// two lanes: one warm-started, one cold. Decisions must be bit-identical;
-/// this is the check the CI bench smoke gate enforces.
-pub fn warm_cold_identity() -> WarmCheck {
-    let workload = gus_workload(41, Scale::Small);
-    let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let opt_config = engine.optimizer_config(true);
-    let mut batches: Vec<Batch> = uqs.chunks(5).take(3).map(batch_of).collect();
-    let repeat = batches[0].clone();
-    batches.push(repeat);
-
-    let (_, warm_side) = optimize_decision_stream(&workload.catalog, &opt_config, &batches, true);
-    let (_, cold_side) = optimize_decision_stream(&workload.catalog, &opt_config, &batches, false);
-    let identical = warm_side
-        .iter()
-        .zip(cold_side.iter())
-        .all(|(w, c)| w.decisions() == c.decisions());
-    WarmCheck {
-        identical,
-        plan_hits: warm_side.iter().map(|w| w.warm_hits).sum(),
-    }
-}
-
 /// The multi-cluster ATC-CL reference workload: the seed-41 GUS instance
 /// with a longer script (40 UQs) and clustering thresholds that actually
 /// split it (several plan graphs with real work in each) — the shape the
@@ -339,270 +216,6 @@ pub fn atc_cl_reference_workload() -> Workload {
     let mut cfg = GusConfig::small(41);
     cfg.user_queries = 40;
     gus::generate(&cfg)
-}
-
-/// The optimizer+graft shape of one batch: node/edge/leaf counts.
-pub fn spec_shape(spec: &qsys::opt::PlanSpec) -> (usize, usize, usize) {
-    use qsys::opt::SpecNodeKind;
-    let nodes = spec.nodes.len();
-    let mut edges = spec.cq_plans.len(); // one root edge per CQ
-    let mut leaves = 0;
-    for node in &spec.nodes {
-        match &node.kind {
-            SpecNodeKind::Stream => leaves += 1,
-            SpecNodeKind::Join { inputs, .. } => edges += inputs.len(),
-        }
-    }
-    (nodes, edges, leaves)
-}
-
-/// Measure the optimizer+graft hot path, an end-to-end workload run, and
-/// the sequential-vs-threaded multi-cluster ATC-CL comparison.
-///
-/// `iters` controls how many optimize/graft cycles are averaged; the
-/// reference batch is the first `batch_size`-UQ batch of the seed-41 GUS
-/// workload — the same inputs `bench_optimizer` uses. `lane_threads_cap`
-/// sets the parallel ATC-CL arm's thread count (defaults to the host's
-/// parallelism, min 2 so the threaded path is exercised even on one core).
-pub fn perf_snapshot(iters: usize, lane_threads_cap: Option<usize>) -> PerfSnapshot {
-    use qsys::state::QsManager;
-    use std::time::Instant;
-
-    let workload = gus_workload(41, Scale::Small);
-    let engine = gus_engine(SharingMode::AtcFull, 5);
-    let (uqs, _) = qsys::generate_user_queries(&workload, &engine).expect("generates");
-    let batch = batch_of(&uqs[..uqs.len().min(5)]);
-    let opt_config = engine.optimizer_config(true);
-
-    // Cold optimize (fresh manager each cycle) and the graft of its spec.
-    let mut optimize_us = 0.0;
-    let mut graft_us = 0.0;
-    let mut shape = (0, 0, 0);
-    let mut opt_stats = qsys::opt::OptStats::default();
-    for _ in 0..iters {
-        let mut manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let sources = qsys::source::Sources::with_provider(
-            SimClock::new(),
-            engine.cost_profile,
-            engine.seed,
-            workload.tables.provider(),
-        );
-        let t0 = Instant::now();
-        let (spec, stats) = {
-            let interner = manager.shared_interner();
-            let oracle = manager.reuse_oracle();
-            optimizer.optimize(&batch, &oracle, None, &interner)
-        };
-        let t1 = Instant::now();
-        manager.graft(&spec, &sources, engine.k);
-        let t2 = Instant::now();
-        optimize_us += (t1 - t0).as_secs_f64() * 1e6;
-        graft_us += (t2 - t1).as_secs_f64() * 1e6;
-        shape = spec_shape(&spec);
-        opt_stats = stats;
-    }
-
-    // Warm cycles: successive batches grafted onto one live manager, so
-    // reuse-oracle probes and sig-index hits are on the measured path.
-    let mut warm_us = 0.0;
-    for _ in 0..iters {
-        let mut manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let sources = qsys::source::Sources::with_provider(
-            SimClock::new(),
-            engine.cost_profile,
-            engine.seed,
-            workload.tables.provider(),
-        );
-        let t0 = Instant::now();
-        for chunk in uqs.chunks(5).take(3) {
-            let batch = batch_of(chunk);
-            let (spec, _) = {
-                let interner = manager.shared_interner();
-                let oracle = manager.reuse_oracle();
-                optimizer.optimize(&batch, &oracle, None, &interner)
-            };
-            manager.graft(&spec, &sources, engine.k);
-        }
-        warm_us += t0.elapsed().as_secs_f64() * 1e6;
-    }
-
-    // Warm-start arm: one live manager + warm store. The priming call
-    // optimizes the reference batch cold and records it; every measured
-    // call re-optimizes the same batch, which validates (shape + residency
-    // unchanged — nothing executed in between) and replays.
-    let (warm_optimize_us, warm_plan_hits) = {
-        let manager = QsManager::new(usize::MAX);
-        let optimizer = Optimizer::new(&workload.catalog, opt_config.clone());
-        let interner = manager.shared_interner();
-        let warm = manager.warm_cell();
-        {
-            let oracle = manager.reuse_oracle();
-            optimizer.optimize_warm(&batch, &oracle, None, &interner, Some(&warm));
-        }
-        let mut hits = 0usize;
-        let t0 = Instant::now();
-        for _ in 0..iters.max(1) {
-            let oracle = manager.reuse_oracle();
-            let (_, stats) = optimizer.optimize_warm(&batch, &oracle, None, &interner, Some(&warm));
-            hits += stats.warm_hits;
-        }
-        (t0.elapsed().as_secs_f64() * 1e6 / iters.max(1) as f64, hits)
-    };
-    let warm_check = warm_cold_identity();
-
-    // Fetch-ahead sweep: the response-time shift stream batching buys on
-    // the figure workload (10 UQs keep the sweep to seconds).
-    let fetch_batch_sweep = fetch_batch_sweep(41, Scale::Small, &[1, 8, 32], Some(10));
-
-    // End to end: the full workload under ATC-FULL, wall-clocked.
-    let t0 = std::time::Instant::now();
-    let report = run_workload(&workload, &engine, None).expect("runs");
-    let end_to_end = t0.elapsed();
-
-    // Multi-cluster ATC-CL: the same lanes strictly sequential, then on
-    // worker threads. Everything except wall time must be identical.
-    let host_parallelism = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads = lane_threads_cap.unwrap_or(host_parallelism).max(2);
-    let cl_workload = atc_cl_reference_workload();
-    let t0 = std::time::Instant::now();
-    let seq = run_workload(&cl_workload, &atc_cl_reference_engine(1), None).expect("runs");
-    let atc_cl_seq_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let t0 = std::time::Instant::now();
-    let par = run_workload(&cl_workload, &atc_cl_reference_engine(threads), None).expect("runs");
-    let atc_cl_par_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let seq_total: u64 = seq.lane_wall_us.iter().sum();
-    let seq_max: u64 = seq.lane_wall_us.iter().copied().max().unwrap_or(1);
-    let atc_cl_speedup_bound = seq_total as f64 / seq_max.max(1) as f64;
-    let atc_cl_identical = seq.identity_diff(&par).is_none();
-
-    // Sessionized-API arm: the same figure workload submitted one query
-    // at a time through per-user sessions, stepping after every arrival —
-    // the service-shaped drive must reproduce the scripted driver's
-    // decisions and statistics bit for bit.
-    let (stepped, _) = qsys::drive_session(&workload, engine.clone(), true);
-    let session_api_identical = stepped.report().identity_diff(&report).is_none();
-
-    let secs = end_to_end.as_secs_f64().max(1e-9);
-    PerfSnapshot {
-        optimize_us: optimize_us / iters.max(1) as f64,
-        graft_us: graft_us / iters.max(1) as f64,
-        opt_graft_warm_us: warm_us / iters.max(1) as f64,
-        spec_nodes: shape.0,
-        spec_edges: shape.1,
-        spec_stream_leaves: shape.2,
-        batch_cqs: batch.len(),
-        explored: opt_stats.explored,
-        memo_hits: opt_stats.memo_hits,
-        end_to_end_ms: secs * 1e3,
-        tuples_consumed: report.tuples_consumed,
-        tuples_per_sec: report.tuples_consumed as f64 / secs,
-        host_parallelism,
-        lane_threads: threads,
-        atc_cl_lanes: par.lanes,
-        atc_cl_seq_ms,
-        atc_cl_par_ms,
-        atc_cl_speedup_bound,
-        atc_cl_identical,
-        session_api_identical,
-        atc_cl_tuples: par.tuples_consumed,
-        lane_wall_us: par.lane_wall_us,
-        warm_optimize_us,
-        warm_plan_hits,
-        warm_identical: warm_check.identical,
-        stream_rounds: report.stream_rounds,
-        fetch_batch_sweep,
-    }
-}
-
-impl PerfSnapshot {
-    /// Combined optimize+graft µs (the headline hot-path number).
-    pub fn opt_graft_us(&self) -> f64 {
-        self.optimize_us + self.graft_us
-    }
-
-    /// Lane speedup of the parallel ATC-CL arm over sequential, percent.
-    pub fn atc_cl_speedup_pct(&self) -> f64 {
-        100.0 * (1.0 - self.atc_cl_par_ms / self.atc_cl_seq_ms.max(1e-9))
-    }
-
-    /// Host-time reduction of a warm-batch optimize vs this run's cold
-    /// optimize, percent.
-    pub fn warm_optimize_reduction_pct(&self) -> f64 {
-        100.0 * (1.0 - self.warm_optimize_us / self.optimize_us.max(1e-9))
-    }
-
-    /// Render as a JSON object (no external dependencies available).
-    pub fn to_json(&self) -> String {
-        let lane_wall: Vec<String> = self.lane_wall_us.iter().map(u64::to_string).collect();
-        let sweep: Vec<String> = self
-            .fetch_batch_sweep
-            .arms
-            .iter()
-            .map(|row| {
-                let field = |name| row.get(name).map_or("null".into(), ToString::to_string);
-                format!(
-                    "{{\"fetch_batch\": {}, \"mean_response_us\": {}, \
-                     \"stream_rounds\": {}, \"tuples_consumed\": {}}}",
-                    field("fetch_batch"),
-                    field("mean_response_us"),
-                    field("stream_rounds"),
-                    field("tuples_consumed")
-                )
-            })
-            .collect();
-        format!(
-            "{{\n    \"optimize_us\": {:.1},\n    \"graft_us\": {:.1},\n    \
-             \"opt_graft_us\": {:.1},\n    \"opt_graft_warm_us\": {:.1},\n    \
-             \"warm_optimize_us\": {:.1},\n    \"warm_optimize_reduction_pct\": {:.1},\n    \
-             \"warm_plan_hits\": {},\n    \"warm_identical\": {},\n    \
-             \"spec_nodes\": {},\n    \"spec_edges\": {},\n    \
-             \"spec_stream_leaves\": {},\n    \"batch_cqs\": {},\n    \
-             \"explored\": {},\n    \"memo_hits\": {},\n    \
-             \"end_to_end_ms\": {:.1},\n    \"tuples_consumed\": {},\n    \
-             \"tuples_per_sec\": {:.0},\n    \"stream_rounds\": {},\n    \
-             \"host_parallelism\": {},\n    \"lane_threads\": {},\n    \
-             \"atc_cl_lanes\": {},\n    \"atc_cl_seq_ms\": {:.1},\n    \
-             \"atc_cl_par_ms\": {:.1},\n    \"atc_cl_speedup_pct\": {:.1},\n    \
-             \"atc_cl_speedup_bound\": {:.2},\n    \
-             \"atc_cl_identical\": {},\n    \"session_api_identical\": {},\n    \
-             \"atc_cl_tuples\": {},\n    \
-             \"lane_wall_us\": [{}],\n    \"fetch_batch_sweep\": [{}]\n  }}",
-            self.optimize_us,
-            self.graft_us,
-            self.opt_graft_us(),
-            self.opt_graft_warm_us,
-            self.warm_optimize_us,
-            self.warm_optimize_reduction_pct(),
-            self.warm_plan_hits,
-            self.warm_identical,
-            self.spec_nodes,
-            self.spec_edges,
-            self.spec_stream_leaves,
-            self.batch_cqs,
-            self.explored,
-            self.memo_hits,
-            self.end_to_end_ms,
-            self.tuples_consumed,
-            self.tuples_per_sec,
-            self.stream_rounds,
-            self.host_parallelism,
-            self.lane_threads,
-            self.atc_cl_lanes,
-            self.atc_cl_seq_ms,
-            self.atc_cl_par_ms,
-            self.atc_cl_speedup_pct(),
-            self.atc_cl_speedup_bound,
-            self.atc_cl_identical,
-            self.session_api_identical,
-            self.atc_cl_tuples,
-            lane_wall.join(", "),
-            sweep.join(", "),
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1893,12 +1506,27 @@ pub fn verify_audit(seeds: &[u64], scale: Scale, dir: &std::path::Path) -> Sweep
     }
 }
 
+/// Input tuples the full seed-41 `Scale::Small` GUS script consumes under
+/// ATC-FULL at `fetch_batch = 1` with the default engine configuration.
+/// Recorded as `tuples_consumed` in `BENCH_4.json`'s "after" snapshot and
+/// unchanged since; [`fetch_batch_sweep`] pins it.
+pub const REFERENCE_TUPLES_CONSUMED: u64 = 47956;
+
+/// Simulated stream-read network rounds of the same run (`stream_rounds`
+/// in `BENCH_4.json`'s "after" snapshot); [`fetch_batch_sweep`] pins it.
+pub const REFERENCE_STREAM_ROUNDS: u64 = 32731;
+
 /// Fetch-ahead sweep: the seed-`seed` GUS workload under ATC-FULL
 /// (optionally truncated to its first `limit` script queries) at
 /// `fetch_batch` 1 and each value of `batches`. Batching regroups stream
 /// reads into fewer network rounds without changing the tuple sequence,
 /// so the gate is that every arm answers exactly like `fetch_batch = 1`
-/// (tie-aware) and consumes the same number of tuples.
+/// (tie-aware) and consumes the same number of tuples. On the reference
+/// instance (seed 41, `Scale::Small`, the full script) the
+/// `fetch_batch = 1` arm must also consume exactly
+/// [`REFERENCE_TUPLES_CONSUMED`] tuples in [`REFERENCE_STREAM_ROUNDS`]
+/// stream rounds: the end-to-end work golden of the default engine
+/// configuration.
 pub fn fetch_batch_sweep(
     seed: u64,
     scale: Scale,
@@ -1920,9 +1548,26 @@ pub fn fetch_batch_sweep(
             (format!("fetch_batch={fetch_batch}"), cfg)
         })
         .collect();
-    let rows = run_arms(&w, arms, drifted);
+    let mut rows = run_arms(&w, arms, drifted);
     let base_tuples = rows[0].1.tuples_consumed;
     let base_us = rows[0].1.mean_response_us();
+    if seed == 41 && scale == Scale::Small && limit.is_none() {
+        let golden = [
+            ("tuples", base_tuples, REFERENCE_TUPLES_CONSUMED),
+            (
+                "stream rounds",
+                rows[0].1.stream_rounds,
+                REFERENCE_STREAM_ROUNDS,
+            ),
+        ];
+        for (what, got, want) in golden {
+            if got != want {
+                rows[0].0.gate_violations.push(format!(
+                    "reference instance: {got} {what} at fetch_batch=1, golden is {want}"
+                ));
+            }
+        }
+    }
     let arms = rows
         .into_iter()
         .zip(batches)
@@ -1949,7 +1594,8 @@ pub fn fetch_batch_sweep(
         bench: "Fetch-ahead sweep: response-time shift from stream fetch batching (GUS, ATC-FULL)"
             .into(),
         gate: "every fetch_batch answers like fetch_batch = 1 (up to ties at the k-th score) \
-               and consumes the same tuples",
+               and consumes the same tuples; on the reference instance fetch_batch = 1 \
+               consumes the golden tuples in the golden stream rounds",
         params: Vec::new(),
         arms,
     }

@@ -353,33 +353,6 @@ impl QueryPlanGraph {
         }
     }
 
-    /// Read one tuple from the stream leaf `id` and route it through the
-    /// graph. Returns `false` if the stream was exhausted. Infallible —
-    /// fault injection applies only through
-    /// [`QueryPlanGraph::read_stream_governed`].
-    pub fn read_stream(&mut self, id: NodeId, sources: &Sources) -> bool {
-        let epoch = self.epoch;
-        let tuple = {
-            let node = self.node_mut(id);
-            match &mut node.kind {
-                NodeKind::Stream(leaf) => {
-                    let t = leaf.backing.read(sources);
-                    if let Some(t) = &t {
-                        leaf.archive.push((t.clone(), epoch));
-                    }
-                    t
-                }
-                other => panic!("{id} is a {}, not a stream", other.label()),
-            }
-        };
-        self.refresh_bound(id);
-        let Some(tuple) = tuple else {
-            return false;
-        };
-        self.route_from(id, tuple, sources, None);
-        true
-    }
-
     /// Fault-aware stream read: fetch through the governor's retry/breaker
     /// loop; on a fetch that gives up, quarantine the leaf (bound drops to
     /// zero, the failure is recorded against the batch) and report
@@ -395,7 +368,7 @@ impl QueryPlanGraph {
         self.refresh_bound(id);
         match read {
             Ok(tuple) => {
-                self.route_from(id, tuple, sources, Some(governor));
+                self.route_from(id, tuple, sources, governor);
                 StreamRead::Delivered
             }
             Err(outcome) => outcome,
@@ -444,7 +417,7 @@ impl QueryPlanGraph {
 
     /// Route a tuple delivered by leaf `id` through the graph (BFS over
     /// consumer edges, charging routing time per hop). Joins probe through
-    /// `governor` when one is supplied. An m-join without consumers — a
+    /// `governor`. An m-join without consumers — a
     /// finished query's operator, detached but retained for reuse — still
     /// stores the tuple and runs its probes, but builds no results.
     fn route_from(
@@ -452,7 +425,7 @@ impl QueryPlanGraph {
         id: NodeId,
         tuple: Tuple,
         sources: &Sources,
-        governor: Option<&SourceGovernor>,
+        governor: &SourceGovernor,
     ) {
         let epoch = self.epoch;
         let mut queue: VecDeque<(NodeId, usize, Tuple)> = self
@@ -473,7 +446,7 @@ impl QueryPlanGraph {
             let outputs: Vec<Tuple> = match &mut node.kind {
                 NodeKind::Split => vec![t],
                 NodeKind::MJoin(mj) => {
-                    mj.insert_governed(idx, t, epoch, sources, governor, modules, emit)
+                    mj.insert_governed(idx, t, epoch, sources, Some(governor), modules, emit)
                 }
                 NodeKind::RankMerge(rm) => {
                     rm.accept(idx, t);
@@ -669,8 +642,9 @@ mod tests {
         let sources = sources_with_tables();
         let (mut g, s0, s1, rmn) = small_graph(&sources);
         // Read everything from both streams.
-        while g.read_stream(s0, &sources) {}
-        while g.read_stream(s1, &sources) {}
+        let governor = SourceGovernor::new(crate::govern::RetryPolicy::default());
+        while g.read_stream_governed(s0, &sources, &governor) == StreamRead::Delivered {}
+        while g.read_stream_governed(s1, &sources, &governor) == StreamRead::Delivered {}
         // Join results should be pending in the rank-merge.
         let bounds = g.stream_bounds();
         assert_eq!(bounds[&s0], 0.0);
@@ -775,9 +749,7 @@ mod tests {
         assert!(g.bound_table().get(s0) > 0.0 && g.bound_table().get(s1) > 0.0);
         // Reads lower the bound; the last read exhausts the stream.
         let governor = SourceGovernor::new(crate::govern::RetryPolicy::default());
-        assert!(g.read_stream(s0, &sources));
-        assert_bounds_in_step(&g);
-        let mut reads = 1;
+        let mut reads = 0;
         while g.read_stream_governed(s0, &sources, &governor) == StreamRead::Delivered {
             reads += 1;
             assert_bounds_in_step(&g);
@@ -819,7 +791,8 @@ mod tests {
     fn explain_renders_every_node() {
         let sources = sources_with_tables();
         let (mut g, s0, _, _) = small_graph(&sources);
-        g.read_stream(s0, &sources);
+        let governor = SourceGovernor::new(crate::govern::RetryPolicy::default());
+        g.read_stream_governed(s0, &sources, &governor);
         let dump = g.explain();
         assert!(dump.contains("plan graph @ e0 (5 nodes)"), "{dump}");
         assert!(dump.contains("stream"), "{dump}");

@@ -1498,7 +1498,7 @@ fn run_batch(
     if adaptive_on {
         adaptive_drive(catalog, config, share, lane, &batch, &mut slot.opt_events);
     } else {
-        lane.atc.run_governed(
+        lane.atc.run(
             lane.manager.graph_mut(),
             &lane.sources,
             &lane.governor,
@@ -1604,7 +1604,7 @@ const MAX_REPLANS_PER_BATCH: u64 = 1;
 
 /// Drive one batch's ATC with the adaptive feedback loop (see
 /// [`EngineConfig::adaptive`](crate::EngineConfig)): run scheduling
-/// rounds exactly like `Atc::run_governed`, but every
+/// rounds exactly like `Atc::run`, but every
 /// [`DRIFT_CHECK_INTERVAL`] rounds tap the live graph's observed
 /// cardinalities and compare them against the frozen warm-store facts.
 /// When drift exceeds the configured ratio and enough of the batch is

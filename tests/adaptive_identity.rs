@@ -62,6 +62,8 @@ fn engine_cfg(lane_threads: usize, adaptive: AdaptiveConfig, faults: Option<&str
         adaptive,
         // Explicit, not inherited from the environment: each arm pins its
         // own adaptive/fault/shard knobs even under the CI matrix legs.
+        // The adaptive loop needs the warm store, so warm_opt is pinned on.
+        warm_opt: true,
         sharding: qsys::ShardConfig::off(),
         faults: faults.map(|s| FaultSpec::parse(s).expect("valid fault spec")),
         ..EngineConfig::default()

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use qsys_catalog::{Catalog, CatalogBuilder, ColumnStats, EdgeKind, RelationStats};
 use qsys_exec::access::{AccessModule, AccessModuleArena, StoredModule};
 use qsys_exec::mjoin::{JoinPred, MJoin, MJoinInput};
-use qsys_exec::{Atc, ExecStats, SchedulingPolicy};
+use qsys_exec::{Atc, ExecStats, RetryPolicy, SchedulingPolicy, SourceGovernor};
 use qsys_opt::{Optimizer, OptimizerConfig};
 use qsys_query::{ConjunctiveQuery, CqAtom, CqJoin, ScoreFn};
 use qsys_source::{Sources, Table};
@@ -151,7 +151,12 @@ fn run_engine(data: &[RelData], key_range: i64, k: usize) -> (Vec<f64>, f64) {
     manager.graft(&spec, &sources, k);
     let mut stats = ExecStats::new();
     stats.submit(UqId::new(0), 0);
-    Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+    Atc::new(SchedulingPolicy::RoundRobin).run(
+        manager.graph_mut(),
+        &sources,
+        &SourceGovernor::new(RetryPolicy::default()),
+        &mut stats,
+    );
     let rm = manager.rank_merge_of(UqId::new(0)).unwrap();
     let scores = manager
         .graph()
@@ -314,7 +319,12 @@ proptest! {
         manager.graft(&spec, &sources, k);
         let mut stats = ExecStats::new();
         stats.submit(UqId::new(0), 0);
-        Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+        Atc::new(SchedulingPolicy::RoundRobin).run(
+            manager.graph_mut(),
+            &sources,
+            &SourceGovernor::new(RetryPolicy::default()),
+            &mut stats,
+        );
 
         let cq3 = chain_cq(1, 1, &catalog, 3);
         let (spec, _) = {
@@ -324,7 +334,12 @@ proptest! {
         };
         manager.graft(&spec, &sources, k);
         stats.submit(UqId::new(1), 0);
-        Atc::new(SchedulingPolicy::RoundRobin).run(manager.graph_mut(), &sources, &mut stats);
+        Atc::new(SchedulingPolicy::RoundRobin).run(
+            manager.graph_mut(),
+            &sources,
+            &SourceGovernor::new(RetryPolicy::default()),
+            &mut stats,
+        );
         let rm = manager.rank_merge_of(UqId::new(1)).unwrap();
         let warm: Vec<f64> = manager.graph().rank_merge(rm).results()
             .iter().map(|r| r.score.get()).collect();

@@ -57,6 +57,8 @@ fn engine_cfg(snapshot_dir: Option<PathBuf>) -> EngineConfig {
         // their own persistence roots and fault schedules, and adaptive
         // re-planning retunes the warm store mid-run — which would make
         // "restart == persistence-off baseline" a different (false) claim.
+        // What persists is the warm store, so warm_opt is pinned on.
+        warm_opt: true,
         faults: None,
         adaptive: qsys::opt::AdaptiveConfig::off(),
         snapshot_dir,

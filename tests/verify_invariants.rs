@@ -328,6 +328,10 @@ fn snapshot_round_trip_audits_clean() {
     let mut cfg = base_config(SharingMode::AtcCl(Default::default()));
     cfg.snapshot_dir = Some(dir.clone());
     cfg.snapshot_every = usize::MAX;
+    // Ambient faults off: a snapshot-chaos schedule publishes a torn
+    // image on purpose, which the reload then (correctly) refuses. The
+    // suites that test snapshot faults inject their own schedules.
+    cfg.faults = None;
     let mut engine = drive(&w, cfg);
     engine.snapshot().expect("publish");
     let report = engine.audit_snapshot().expect("reload");
